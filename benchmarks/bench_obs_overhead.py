@@ -13,7 +13,7 @@ work:
 * **on** — ``enable_tracing()``: every query mints a trace context and
   records plan/candidate/score/merge spans into the ring buffer.
 
-One warm :class:`ShardedSubjectiveQueryEngine` serves both modes, so the
+One warm :class:`SubjectiveQueryEngine` serves both modes, so the
 caches, column arrays, and bound summaries are byte-identical; the modes
 alternate pass-by-pass so both see the same scheduler-noise windows, and
 the per-mode best-of-``passes`` maxima are compared.  Rankings must be
@@ -37,7 +37,7 @@ import pytest
 from benchmarks.conftest import print_result
 from repro.experiments.common import ExperimentTable
 from repro.obs import disable_tracing, enable_tracing, global_trace_store
-from repro.serving import ShardedSubjectiveQueryEngine
+from repro.serving import SubjectiveQueryEngine
 from repro.testing import build_synthetic_columnar_database, env_int
 
 pytestmark = pytest.mark.slow
@@ -51,8 +51,6 @@ HARNESS = {
     "domain": "synthetic",
     "entities_default": 800,
     "entities_env": "REPRO_BENCH_OBS_ENTITIES",
-    "num_shards": 4,
-    "backend": "serial",
     "queries": 6,
     "repeats_per_pass": 4,
     "passes": 12,
@@ -61,7 +59,6 @@ HARNESS = {
 }
 
 OBS_ENTITIES = max(400, env_int(HARNESS["entities_env"], HARNESS["entities_default"]))
-NUM_SHARDS = HARNESS["num_shards"]
 RATIO_FLOOR = HARNESS["throughput_ratio_floor"]
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
 
@@ -93,9 +90,7 @@ def _one_warm_pass(engine, repeats: int) -> float:
 
 
 def test_observability_overhead_within_budget(synthetic_database):
-    engine = ShardedSubjectiveQueryEngine(
-        database=synthetic_database, num_shards=NUM_SHARDS
-    )
+    engine = SubjectiveQueryEngine(database=synthetic_database)
     repeats = HARNESS["repeats_per_pass"]
     passes = HARNESS["passes"]
 
@@ -131,7 +126,7 @@ def test_observability_overhead_within_budget(synthetic_database):
     table = ExperimentTable(
         title=(
             f"Observability overhead ({len(synthetic_database)} entities, "
-            f"{NUM_SHARDS} serial shards, warm path)"
+            "warm path)"
         ),
         columns=["mode", "qps"],
     )
@@ -146,8 +141,6 @@ def test_observability_overhead_within_budget(synthetic_database):
                 "benchmark": "bench_obs_overhead",
                 "domain": "synthetic",
                 "entities": len(synthetic_database),
-                "num_shards": NUM_SHARDS,
-                "backend": "serial",
                 "queries": len(QUERIES),
                 "qps_tracing_off": round(best_off, 2),
                 "qps_tracing_on": round(best_on, 2),

@@ -5,10 +5,10 @@ summaries, propagates the running k-th score down the AND-path of the
 WHERE tree, and skips the exact kernel for every entity whose upper
 bound cannot reach the heap.  This benchmark measures the cold
 (membership-cache-flushed) query path of two otherwise identical
-serial sharded engines over the same synthetic domain:
+engines over the same synthetic domain:
 
-* **full** — ``ShardedSubjectiveQueryEngine(prune_topk=False)``, which
-  scores every candidate entity exactly;
+* **full** — ``SubjectiveQueryEngine(prune_topk=False)``, which scores
+  every candidate entity exactly (vectorized WHERE ranking);
 * **pruned** — the default engine, which consults the bound summaries
   first and only runs the exact kernel over the survivors.
 
@@ -39,7 +39,7 @@ import pytest
 
 from benchmarks.conftest import print_result
 from repro.experiments.common import ExperimentTable
-from repro.serving import ShardedSubjectiveQueryEngine
+from repro.serving import SubjectiveQueryEngine
 from repro.testing import build_synthetic_columnar_database, env_int
 
 pytestmark = pytest.mark.slow
@@ -53,8 +53,6 @@ HARNESS = {
     "domain": "synthetic",
     "entities_default": 1600,
     "entities_env": "REPRO_BENCH_PRUNED_ENTITIES",
-    "num_shards": 4,
-    "backend": "serial",
     "top_k": 5,
     "queries": 5,
     "passes": 14,
@@ -66,7 +64,6 @@ PRUNED_ENTITIES = max(
     HARNESS["entities_default"],
     env_int(HARNESS["entities_env"], HARNESS["entities_default"]),
 )
-NUM_SHARDS = HARNESS["num_shards"]
 SPEEDUP_FLOOR = HARNESS["speedup_floor"]
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_pruned.json"
 
@@ -116,10 +113,8 @@ def _cold_queries_per_second(engines, passes: int = 14) -> list[float]:
 
 def test_pruned_topk_cold_path_speedup(synthetic_database):
     database = synthetic_database
-    full = ShardedSubjectiveQueryEngine(
-        database=database, num_shards=NUM_SHARDS, prune_topk=False
-    )
-    pruned = ShardedSubjectiveQueryEngine(database=database, num_shards=NUM_SHARDS)
+    full = SubjectiveQueryEngine(database=database, prune_topk=False)
+    pruned = SubjectiveQueryEngine(database=database)
 
     # Rankings — ids and scores — must be exactly those of the full scan
     # (the differential suite additionally pins per-predicate degrees).
@@ -149,7 +144,7 @@ def test_pruned_topk_cold_path_speedup(synthetic_database):
     table = ExperimentTable(
         title=(
             f"Bound-pruned cold-path serving ({len(database)} entities, "
-            f"top-{HARNESS['top_k']}, {NUM_SHARDS} serial shards)"
+            f"top-{HARNESS['top_k']})"
         ),
         columns=["engine", "queries", "qps"],
     )
@@ -164,8 +159,6 @@ def test_pruned_topk_cold_path_speedup(synthetic_database):
                 "benchmark": "bench_pruned_topk",
                 "domain": "synthetic",
                 "entities": len(database),
-                "num_shards": NUM_SHARDS,
-                "backend": "serial",
                 "queries": len(QUERIES),
                 "full_qps": round(full_qps, 2),
                 "pruned_qps": round(pruned_qps, 2),

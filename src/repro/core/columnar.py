@@ -67,7 +67,7 @@ def slice_view(columns: "AttributeColumns", start: int, stop: int) -> "Attribute
     Basic slicing of the E axis shares the underlying buffers, so a slice
     view costs O(stop − start) only for the entity-id bookkeeping; the
     per-entity arrays and the shared marker data are the store's own.  This
-    is the unit of placement for the sharded serving engine: every scoring
+    is the unit of placement for cluster snapshots: every scoring
     kernel is row-independent, so running it over a slice view computes
     exactly the arithmetic the full pass would for those rows.
     """
@@ -112,29 +112,6 @@ def gather_rows(columns: "AttributeColumns", rows: list[int]) -> "AttributeColum
     )
 
 
-def resolve_slice(
-    columns: "AttributeColumns",
-    start: int,
-    stop: int,
-    rows: "list[int] | None" = None,
-) -> "AttributeColumns":
-    """The kernel-ready view of one shipped ``(start, stop, rows)`` slice spec.
-
-    This is the receiving half of the slice-shipping contract used by the
-    process shard backend and the RPC shard service: the sender ships only
-    indices — a contiguous ``[start, stop)`` row range of an attribute's
-    columns, optionally narrowed to slice-relative ``rows`` for a sparse
-    request — and the receiver resolves them against its own deterministic
-    rebuild of the column arrays.  Both sides build identical arrays from
-    the same database snapshot, so the resolved view (and every kernel
-    result computed from it) is bit-identical to the sender's.
-    """
-    view = slice_view(columns, start, stop)
-    if rows is not None:
-        view = gather_rows(view, rows)
-    return view
-
-
 def plan_slice_requests(
     bounds: Sequence[int],
     resident: Sequence[int],
@@ -157,9 +134,8 @@ def plan_slice_requests(
       gathers.
 
     Empty slices produce no request, so shipping a request per tuple never
-    sends empty work.  Shared by the in-process sharded store and the RPC
-    coordinator — both fan out exactly these requests, only the transport
-    differs.
+    sends empty work.  The cluster coordinator ships exactly these
+    requests to its shard nodes.
     """
     requests: list[tuple[int, int, int, list[int] | None, object]] = []
     position = 0
@@ -1043,8 +1019,7 @@ class ScoreBounds:
       slice, the cheapest possible "can anything here still matter?" test.
 
     ``slice`` / ``narrowed`` mirror :func:`slice_view` / :func:`gather_rows`
-    so the sharded, RPC and cluster layers can bound exactly the rows a
-    request ships.
+    so the cluster layer can bound exactly the rows a request ships.
     """
 
     columns: AttributeColumns
@@ -1250,7 +1225,7 @@ def bounded_pair_degrees(
 
 
 # --------------------------------------------------------------------------
-# Shared scoring plumbing (used by the store and the sharded store)
+# Shared scoring plumbing (used by the local store and the cluster store)
 # --------------------------------------------------------------------------
 
 def columnar_kernel(membership: "MembershipFunction", database: "SubjectiveDatabase"):
@@ -1388,7 +1363,7 @@ class ColumnarSummaryStore:
         ``data_version`` contract: any ingest drops columns and bounds
         together, so a stale bound can never justify a prune.  Pass
         ``start`` / ``stop`` to get the bounds of one contiguous slice —
-        the per-slice view the sharded, RPC and cluster layers request.
+        the per-slice view the cluster layer requests.
         """
         self._check_version()
         if attribute not in self._bounds:

@@ -273,12 +273,22 @@ class SubjectiveQueryProcessor:
                     predicate_degrees=degrees,
                 )
             )
-        limit = statement.limit or top_k or self.top_k
         return QueryResult(
             sql=sql,
-            entities=_top_ranked(ranked, limit),
+            entities=_top_ranked(ranked, self.result_limit(statement, top_k)),
             interpretations=interpretations,
         )
+
+    def result_limit(self, statement: SelectStatement, top_k: int | None = None) -> int:
+        """How many ranked entities a query returns.
+
+        An explicit ``LIMIT`` wins, ``LIMIT 0`` included (zero rows);
+        without one the caller's ``top_k`` applies, and a missing or zero
+        ``top_k`` falls back to the processor's default.
+        """
+        if statement.limit is not None:
+            return statement.limit
+        return top_k or self.top_k
 
     # -------------------------------------------------------------- scoring
     def entity_ids_of(self, rows: Sequence[dict], alias: str | None) -> list[Hashable]:
@@ -327,11 +337,11 @@ class SubjectiveQueryProcessor:
         ``store`` routes one computation through a specific store instead of
         the processor's own — any object with the store's ``pair_degrees``
         protocol works, including
-        :class:`repro.serving.sharded.ShardedColumnarStore`, whose kernels
-        fan out across entity shards.  The sharded serving engine installs
-        its sharded store as ``columnar_store`` outright, so every degree
-        the processor computes is shard-routed; both stores produce exactly
-        the degrees of the unsharded path (the kernels are row-independent).
+        :class:`repro.serving.cluster.ClusterShardStore`, whose kernels run
+        on remote shard nodes.  The cluster serving engine installs its
+        store as ``columnar_store`` outright, so every degree the processor
+        computes is node-routed; both stores produce exactly the degrees of
+        the local path (the kernels are row-independent).
         """
         if not self.use_markers:
             return [

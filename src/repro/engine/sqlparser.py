@@ -25,6 +25,7 @@ Identifiers may be qualified (``h.price_pn``) and tables may be aliased
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 
 from repro.engine.executor import JoinClause, OrderBy, SelectStatement
@@ -207,7 +208,17 @@ class _Parser:
         token = self._advance()
         if token.kind != "NUMBER":
             raise ParseError("LIMIT expects a number", token.position)
-        return int(float(token.value))
+        if not token.value.isdigit():
+            raise ParseError(
+                f"LIMIT expects a non-negative integer, got {token.value}", token.position
+            )
+        limit = int(token.value)
+        if limit > sys.maxsize:
+            raise ParseError(
+                f"LIMIT {token.value} exceeds the largest supported limit ({sys.maxsize})",
+                token.position,
+            )
+        return limit
 
     # ------------------------------------------------------ where grammar
     def _parse_or(self) -> Expression:

@@ -319,10 +319,10 @@ def record_span(
 ) -> SpanRecord:
     """Record an already-timed span with explicit identity (wire-side).
 
-    Shard workers and cluster nodes call this with the ``(trace_id,
-    span_id)`` pair parsed off an incoming frame as ``trace_id`` /
-    ``parent_id``: the remote work becomes a child of the coordinator
-    span that issued the request, in the *remote* process's store.
+    Cluster nodes call this with the ``(trace_id, span_id)`` pair
+    parsed off an incoming frame as ``trace_id`` / ``parent_id``: the
+    remote work becomes a child of the coordinator span that issued the
+    request, in the *remote* process's store.
     Recording happens regardless of the local enable flag — the
     coordinator only stamps frames when its own tracing is on, so the
     flag travels with the traffic.

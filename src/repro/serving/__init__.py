@@ -7,31 +7,23 @@ candidate entity from scratch.  This package amortises that work across a
 query stream, which is what a production deployment serving repeated and
 overlapping queries needs:
 
-* :class:`LRUCache` / :class:`PartitionedLRUCache` — the bounded cache
-  primitives shared by the layers below;
+* :class:`LRUCache` — the bounded cache primitive shared by the layers
+  below;
 * :func:`normalize_sql` / :class:`QueryPlan` — normalised-SQL keyed plans
   bundling the parsed statement with its predicate interpretations;
-* :class:`SubjectiveQueryEngine` — the serving front end: an LRU plan cache,
-  a per-database membership-degree cache invalidated on ingest, batch
-  (vectorized) degree computation over candidate entities, a ``run_batch()``
-  API, and cache/latency statistics;
-* :class:`ShardedSubjectiveQueryEngine` / :class:`ShardedColumnarStore` —
-  the entity-sharded scale-out tier: K contiguous slice views per
-  attribute, per-slice kernel fan-out (serial/thread/process backends), a
-  per-shard membership-cache partition, vectorized WHERE-tree scoring and
-  per-shard top-k merge;
-* :class:`CoordinatorQueryEngine` / :class:`RpcShardStore`
-  (:mod:`repro.serving.rpc`) — the disaggregated tier: long-lived shard
-  worker processes serving a length-prefixed binary ``score`` protocol
-  over local sockets, a coordinator that fans WHERE-tree scoring out and
-  merges per-shard top-k heaps, same caches, same invalidation unit;
+* :class:`SubjectiveQueryEngine` — the one in-process engine: an LRU plan
+  cache, a per-database membership-degree cache invalidated on ingest,
+  batch (columnar) degree computation over candidate entities, WHERE-tree
+  ranking over degree vectors (:mod:`repro.serving.sharded`), bound-based
+  top-k pruning, a ``run_batch()`` API, and cache/latency statistics;
 * :class:`ClusterQueryEngine` / :class:`ClusterShardStore` /
-  :class:`ShardNodeServer` (:mod:`repro.serving.cluster`) — the
-  multi-node tier: shard nodes listening on **TCP** (same frame protocol,
-  shared in :mod:`repro.serving.protocol`), hydrated from shipped
-  :class:`~repro.core.columnar.ColumnSnapshot` bytes instead of fork, a
-  versioned ``hello`` handshake, pipelined per-node request queues, and a
-  concurrent ``run_batch`` that overlaps independent queries' fan-outs;
+  :class:`ShardNodeServer` (:mod:`repro.serving.cluster`) — the one remote
+  transport: shard nodes listening on **TCP** (frame protocol in
+  :mod:`repro.serving.protocol`), hydrated from shipped
+  :class:`~repro.core.columnar.ColumnSnapshot` bytes or a local data
+  directory, a versioned ``hello`` handshake, pipelined per-node request
+  queues, and a concurrent ``run_batch`` that overlaps independent
+  queries' fan-outs;
 * :class:`ServingGateway` / :class:`AsyncGatewayClient` / :class:`GatewayClient`
   (:mod:`repro.serving.gateway`) — the client-facing front door: an
   ``asyncio`` server that coalesces identical in-flight requests, folds
@@ -41,13 +33,13 @@ overlapping queries needs:
 
 Every engine produces results identical to the wrapped processor — caches
 only short-circuit recomputation of values the processor would have
-produced, and sharded, RPC, cluster or gateway execution reorders work,
-never arithmetic.  ``docs/ARCHITECTURE.md`` documents all six layers, the
-cache hierarchy, and the ``data_version`` invalidation contract in one
-place.
+produced, and vectorized, pruned, cluster or gateway execution reorders
+work, never arithmetic.  ``docs/ARCHITECTURE.md`` documents the four
+layers, the cache hierarchy, and the ``data_version`` invalidation
+contract in one place.
 """
 
-from repro.serving.cache import CacheStats, LRUCache, PartitionedLRUCache
+from repro.serving.cache import CacheStats, LRUCache
 from repro.serving.cluster import (
     ClusterQueryEngine,
     ClusterShardStore,
@@ -73,23 +65,13 @@ from repro.serving.plans import QueryPlan, normalize_sql
 from repro.serving.protocol import (
     OP_TRACES,
     PROTOCOL_VERSION,
-    SUPPORTED_PROTOCOL_VERSIONS,
-    TRACE_PROTOCOL_VERSION,
     FrameTooLargeError,
     GatewayOverloadedError,
     HandshakeError,
     RpcError,
     WorkerCrashedError,
 )
-from repro.serving.rpc import (
-    CoordinatorQueryEngine,
-    RpcShardStore,
-    ShardServiceClient,
-    ShardServiceWorker,
-)
 from repro.serving.sharded import (
-    ShardedColumnarStore,
-    ShardedSubjectiveQueryEngine,
     default_num_shards,
     merge_shard_topk,
     partition_bounds,
@@ -102,7 +84,6 @@ __all__ = [
     "CacheStats",
     "ClusterQueryEngine",
     "ClusterShardStore",
-    "CoordinatorQueryEngine",
     "FrameTooLargeError",
     "GatewayClient",
     "GatewayHandle",
@@ -112,20 +93,12 @@ __all__ = [
     "LRUCache",
     "OP_TRACES",
     "PROTOCOL_VERSION",
-    "PartitionedLRUCache",
     "QueryPlan",
     "RpcError",
-    "RpcShardStore",
-    "SUPPORTED_PROTOCOL_VERSIONS",
     "ServingGateway",
     "ServingStats",
     "ShardNodeServer",
-    "ShardServiceClient",
-    "ShardServiceWorker",
-    "ShardedColumnarStore",
-    "ShardedSubjectiveQueryEngine",
     "SubjectiveQueryEngine",
-    "TRACE_PROTOCOL_VERSION",
     "WorkerCrashedError",
     "coalescing_key",
     "default_num_shards",

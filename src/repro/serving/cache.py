@@ -1,23 +1,18 @@
 """LRU caches with hit/miss accounting.
 
-:class:`LRUCache` backs the serving engine's query-plan, candidate and
-membership-degree caches.  :class:`PartitionedLRUCache` splits one logical
-cache into independent LRU partitions keyed by a router function — the
-sharded serving engine partitions its membership cache so each shard's
-degree entries live (and are evicted) in their own partition, while
-invalidation stays ``data_version``-driven: the engine clears every
-partition together whenever the database version moves, exactly like the
-unsharded cache.
+:class:`LRUCache` backs the serving engines' query-plan, candidate and
+membership-degree caches (and the shard nodes' per-slice degree-vector
+memos).  Invalidation is ``data_version``-driven: the engine clears its
+caches together whenever the database version moves.
 
 Individual caches are not thread-safe; the serving engines only touch them
-from the coordinating thread (shard workers run pure NumPy kernels and
-never see a cache).
+from the coordinating thread.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Hashable, Iterator, Sequence
+from typing import Hashable, Iterator, Sequence
 
 from repro.obs.metrics import Counter
 
@@ -200,174 +195,3 @@ class LRUCache:
     def keys(self) -> Iterator[Hashable]:
         """Keys from least- to most-recently used."""
         return iter(self._entries.keys())
-
-
-def _default_router(key: Hashable) -> int:
-    """Route a cache key by its first element (the entity id, by convention).
-
-    The serving caches key membership degrees as ``(entity_id, attribute,
-    phrase)`` tuples; routing on the entity id keeps all of one entity's
-    degrees in one partition, which is the ownership unit the sharded
-    engine cares about.  Non-tuple keys hash whole.
-    """
-    if isinstance(key, tuple) and key:
-        return hash(key[0])
-    return hash(key)
-
-
-class PartitionedLRUCache:
-    """One logical cache split into independent LRU partitions.
-
-    ``maxsize`` bounds the *total* entry count; each partition gets an equal
-    share (rounded up), so eviction pressure in one partition never evicts
-    another partition's entries.  The interface mirrors :class:`LRUCache`
-    (``get``/``put``/``peek``/``clear``/``len``/``in``); :attr:`stats`
-    aggregates across partitions, and per-partition statistics stay
-    available on the partitions themselves.
-    """
-
-    def __init__(
-        self,
-        num_partitions: int,
-        maxsize: int | None = None,
-        router: Callable[[Hashable], int] | None = None,
-    ) -> None:
-        if num_partitions <= 0:
-            raise ValueError(f"num_partitions must be positive, got {num_partitions}")
-        per_partition = None
-        if maxsize is not None:
-            per_partition = -(-maxsize // num_partitions)  # ceil division
-        self.partitions = [LRUCache(per_partition) for _ in range(num_partitions)]
-        self._router = router or _default_router
-
-    @property
-    def num_partitions(self) -> int:
-        """Number of independent LRU partitions."""
-        return len(self.partitions)
-
-    def partition_of(self, key: Hashable) -> LRUCache:
-        """The partition owning ``key``."""
-        return self.partitions[self._router(key) % len(self.partitions)]
-
-    def get(self, key: Hashable, default: object = None) -> object:
-        """Look up ``key`` in its partition (counts and recency as ``LRUCache.get``)."""
-        return self.partition_of(key).get(key, default)
-
-    def peek(self, key: Hashable, default: object = None) -> object:
-        """Look up ``key`` without touching recency or counters."""
-        return self.partition_of(key).peek(key, default)
-
-    def peek_many(self, keys: Sequence[Hashable], default: object = None) -> list[object]:
-        """Batch :meth:`peek` with the per-key partition routing inlined.
-
-        No recency updates, no counters; values (or ``default``) come back
-        in key order exactly like :meth:`get_many`.
-        """
-        partitions = self.partitions
-        num = len(partitions)
-        router = self._router
-        default_routing = router is _default_router
-        values: list[object] = []
-        append = values.append
-        for key in keys:
-            if default_routing:
-                index = hash(key[0] if isinstance(key, tuple) and key else key) % num
-            else:
-                index = router(key) % num
-            append(partitions[index]._entries.get(key, default))
-        return values
-
-    def put(self, key: Hashable, value: object) -> None:
-        """Insert or refresh ``key`` in its partition (partition-local eviction)."""
-        self.partition_of(key).put(key, value)
-
-    def get_many(self, keys: Sequence[Hashable], default: object = None) -> list[object]:
-        """Batch :meth:`get` with the per-key partition routing inlined.
-
-        Equivalent to per-key ``get`` calls (same values, recency updates
-        and per-partition counters); hit/miss counts are accumulated per
-        partition and flushed once.
-        """
-        partitions = self.partitions
-        num = len(partitions)
-        router = self._router
-        default_routing = router is _default_router
-        hits = [0] * num
-        misses = [0] * num
-        values: list[object] = []
-        append = values.append
-        for key in keys:
-            if default_routing:
-                # Inlined _default_router: the per-key call layering is
-                # measurable when batches span hundreds of entities.
-                index = hash(key[0] if isinstance(key, tuple) and key else key) % num
-            else:
-                index = router(key) % num
-            entries = partitions[index]._entries
-            if key in entries:
-                entries.move_to_end(key)
-                hits[index] += 1
-                append(entries[key])
-            else:
-                misses[index] += 1
-                append(default)
-        for index in range(num):
-            if hits[index]:
-                partitions[index].stats.hits += hits[index]
-            if misses[index]:
-                partitions[index].stats.misses += misses[index]
-        return values
-
-    def put_many(self, items: Sequence[tuple[Hashable, object]]) -> None:
-        """Batch :meth:`put`: items grouped per partition, then batch-inserted."""
-        num = len(self.partitions)
-        router = self._router
-        default_routing = router is _default_router
-        grouped: list[list[tuple[Hashable, object]]] = [[] for _ in range(num)]
-        for item in items:
-            key = item[0]
-            if default_routing:
-                index = hash(key[0] if isinstance(key, tuple) and key else key) % num
-            else:
-                index = router(key) % num
-            grouped[index].append(item)
-        for partition, group in zip(self.partitions, grouped):
-            if group:
-                partition.put_many(group)
-
-    def clear(self) -> None:
-        """Drop every partition's entries together (one invalidation unit)."""
-        for partition in self.partitions:
-            partition.clear()
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self.partition_of(key)
-
-    def __len__(self) -> int:
-        return sum(len(partition) for partition in self.partitions)
-
-    def keys(self) -> Iterator[Hashable]:
-        """All keys, partition by partition (least- to most-recently used)."""
-        for partition in self.partitions:
-            yield from partition.keys()
-
-    @property
-    def stats(self) -> CacheStats:
-        """Aggregate counters summed over all partitions (a fresh snapshot)."""
-        return CacheStats(
-            hits=sum(partition.stats.hits for partition in self.partitions),
-            misses=sum(partition.stats.misses for partition in self.partitions),
-            evictions=sum(partition.stats.evictions for partition in self.partitions),
-        )
-
-    def partition_stats(self) -> list[dict[str, float]]:
-        """Per-partition counter dicts (``entries`` plus the hit statistics).
-
-        One dict per partition, in partition order — the shard-local view
-        the sharded engine's ``stats_snapshot`` and the shard-service
-        ``stats()`` RPC report, so operators can spot a hot or cold shard.
-        """
-        return [
-            {"entries": len(partition), **partition.stats.as_dict()}
-            for partition in self.partitions
-        ]

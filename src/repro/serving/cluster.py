@@ -1,45 +1,43 @@
 """Cluster transport: TCP shard nodes, snapshot hydration, a concurrent coordinator.
 
-PR 4 put the entity shards behind a service boundary, but the boundary was
-a local socketpair and the workers were forks — the column data reached
-them implicitly, by copy-on-write inheritance, and the coordinator executed
-queries strictly one at a time.  This module removes both limits and turns
-the stack into a true multi-node engine:
+The one remote transport of the serving stack.  Entity shards live behind
+a TCP service boundary; the column data reaches the nodes explicitly, as
+shipped snapshots, and the coordinator overlaps independent queries:
 
-* :class:`ShardNodeServer` — a shard worker that listens on **TCP** and
-  speaks exactly the frame protocol of :mod:`repro.serving.protocol` (the
-  same codec the socketpair path uses — one definition, no drift).  Every
-  connection opens with a versioned ``hello`` handshake carrying the
-  protocol version, the node's ``data_version`` and its owned slice ids;
-  version skew is a typed :class:`~repro.serving.protocol.HandshakeError`,
-  never a hang.  The node holds **no database**: its column slices arrive
-  over the wire as packed :class:`~repro.core.columnar.ColumnSnapshot`
-  bytes (``hydrate`` frames) — deterministic, checksummed, bit-exact — so
-  a node can run in any process on any machine, not just a fork of the
-  coordinator;
+* :class:`ShardNodeServer` — a shard node that listens on **TCP** and
+  speaks the frame protocol of :mod:`repro.serving.protocol` (one
+  definition shared with the gateway — no drift).  Every connection opens
+  with a versioned ``hello`` handshake carrying the protocol version, the
+  node's ``data_version`` and its owned slice ids; version skew is a typed
+  :class:`~repro.serving.protocol.HandshakeError`, never a hang.  The node
+  holds **no database**: its column slices arrive over the wire as packed
+  :class:`~repro.core.columnar.ColumnSnapshot` bytes (``hydrate`` frames) —
+  deterministic, checksummed, bit-exact — or from a local persistent
+  ``data_dir``, so a node can run in any process on any machine;
 * :class:`ClusterShardStore` — the coordinator side: implements the same
-  ``pair_degrees`` protocol as every other columnar store over a registry
+  ``pair_degrees`` protocol as the local columnar store over a registry
   of node connections.  Requests are **pipelined** through per-node
   send/receive queues with a bounded in-flight window (a select-driven
   pump keeps every node fed while responses stream back), slices are
   hydrated lazily per ``(node, attribute, slice)`` and re-hydrated after
   every ``data_version`` bump, and a lost connection or dead node surfaces
-  as the same :class:`~repro.serving.protocol.WorkerCrashedError` the RPC
-  layer raises — the fleet reconnects or respawns on the next query;
-* :class:`ClusterQueryEngine` — subclasses the sharded engine, so
-  WHERE-tree vectorization and the exact ``(-score, str(entity_id),
-  position)`` top-k merge are reused verbatim, and adds a **concurrent**
-  :meth:`~ClusterQueryEngine.run_batch`: a bounded window of queries is
-  planned ahead and their uncached degree fan-outs are issued to the nodes
-  before earlier queries finish ranking, so node latency hides under
-  coordinator CPU.  Results are bit-identical to serial execution — the
-  prefetch only warms the same caches the serial path would fill, with the
-  same deterministic values (every kernel is row-independent, so batching
-  composition cannot change a single bit).
+  as a typed :class:`~repro.serving.protocol.WorkerCrashedError` — the
+  fleet reconnects or respawns on the next query;
+* :class:`ClusterQueryEngine` — subclasses
+  :class:`~repro.serving.engine.SubjectiveQueryEngine`, so planning,
+  WHERE-tree vectorization, pruned top-k and the exact ``(-score,
+  str(entity_id), position)`` top-k merge are reused verbatim, and adds a
+  **concurrent** :meth:`~ClusterQueryEngine.run_batch`: a bounded window
+  of queries is planned ahead and their uncached degree fan-outs are
+  issued to the nodes before earlier queries finish ranking, so node
+  latency hides under coordinator CPU.  Results are bit-identical to
+  serial execution — the prefetch only warms the same caches the serial
+  path would fill, with the same deterministic values (every kernel is
+  row-independent, so batching composition cannot change a single bit).
 
 Exact equality is pinned by ``tests/test_serving_cluster.py``: rankings,
-scores and degrees equal to the unsharded engine over TCP for node counts
-{1, 2, 4} on two domains, including mid-batch ingest (snapshot
+scores and degrees equal to the in-process engine over TCP for node
+counts {1, 2, 4} on two domains, including mid-batch ingest (snapshot
 re-hydration) and node loss → :class:`WorkerCrashedError` → recovery.
 """
 
@@ -78,7 +76,7 @@ from repro.errors import SnapshotError
 from repro.obs.metrics import MetricsRegistry, cell_property
 from repro.obs.trace import current_wire_trace, global_trace_store, record_span, span
 from repro.serving.cache import LRUCache
-from repro.serving.engine import BatchResult
+from repro.serving.engine import BatchResult, SubjectiveQueryEngine
 from repro.serving.plans import normalize_sql
 from repro.serving.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
@@ -92,8 +90,6 @@ from repro.serving.protocol import (
     OP_STATS,
     OP_TRACES,
     PROTOCOL_VERSION,
-    SUPPORTED_PROTOCOL_VERSIONS,
-    TRACE_PROTOCOL_VERSION,
     STATUS_ERROR,
     STATUS_OK,
     FrameTooLargeError,
@@ -119,20 +115,17 @@ from repro.serving.protocol import (
     recv_frame,
     send_frame,
 )
-from repro.utils.timing import now
-from repro.serving.rpc import DEFAULT_WORKER_CACHE_SIZE
-from repro.serving.sharded import (
-    ShardedSubjectiveQueryEngine,
-    default_num_shards,
-    partition_bounds,
-)
-
 from repro.serving.protocol import (
     _HEADER,
     _U8,
     _U32,
     _U64,
 )
+from repro.serving.sharded import default_num_shards, partition_bounds
+from repro.utils.timing import now
+
+#: Default per-node bound on memoised slice degree vectors.
+DEFAULT_WORKER_CACHE_SIZE = 4096
 
 #: Default bound on score/hydrate requests in flight per node connection.
 DEFAULT_INFLIGHT_WINDOW = 32
@@ -160,8 +153,7 @@ _PREFETCH_MISSING = object()
 class ShardNodeServer:
     """One TCP shard node: hydrated column slices, scored over the wire.
 
-    Unlike the fork-based :class:`~repro.serving.rpc.ShardServiceWorker`,
-    the node owns **no database** — it is constructed with only the
+    The node owns **no database** — it is constructed with only the
     membership function (the scoring model, a deployment artifact) and
     receives its column data as packed
     :class:`~repro.core.columnar.ColumnSnapshot` bytes through ``hydrate``
@@ -234,9 +226,6 @@ class ShardNodeServer:
         self._listener: socket.socket | None = None
         self._active: socket.socket | None = None
         self._stopped = False
-        # Protocol version agreed at the last hello (min of both peers);
-        # pre-handshake frames are served at the node's own version.
-        self.negotiated_version = PROTOCOL_VERSION
         self.metrics = MetricsRegistry()
         self._score_requests_cell = self.metrics.counter(
             "score_requests", help="Exact score frames served"
@@ -414,19 +403,16 @@ class ShardNodeServer:
             reader.read_u64()  # the coordinator's data_version (diagnostic)
         except RpcError as error:
             return encode_error(f"malformed hello frame ({error})"), False
-        if peer_version not in SUPPORTED_PROTOCOL_VERSIONS:
+        if peer_version != PROTOCOL_VERSION:
             return (
                 encode_error(
                     f"protocol version mismatch: peer speaks {peer_version}, "
-                    f"node supports {sorted(SUPPORTED_PROTOCOL_VERSIONS)}"
+                    f"node speaks {PROTOCOL_VERSION}"
                 ),
                 False,
             )
-        # The connection runs at the lower of the two versions: a v4
-        # coordinator sees a v4 ack and never learns about trace fields.
-        self.negotiated_version = min(peer_version, PROTOCOL_VERSION)
         ack = encode_hello_ack(
-            self.negotiated_version,
+            PROTOCOL_VERSION,
             self.data_version,
             self.owned_slice_ids,
             local_store=self._local_store_fresh,
@@ -946,9 +932,6 @@ class ClusterNodeClient:
         self.remote_data_version = 0
         self.remote_owned: list[int] = []
         self.remote_local_store = False
-        # Protocol version the node acked (min of both peers); trace fields
-        # are only stamped on frames when this reaches TRACE_PROTOCOL_VERSION.
-        self.negotiated_version = PROTOCOL_VERSION
         self.queue: deque[tuple[bytes, NodeReply]] = deque()
         self.inflight: deque[NodeReply] = deque()
         self._out = bytearray()
@@ -981,7 +964,7 @@ class ClusterNodeClient:
                     f"cluster node {self.index} closed the connection during the handshake"
                 )
             (
-                self.negotiated_version,
+                _version,
                 self.remote_data_version,
                 self.remote_owned,
                 self.remote_local_store,
@@ -1008,12 +991,8 @@ class ClusterNodeClient:
     def wire_trace(self) -> "tuple[int, int] | None":
         """The active trace as a wire ``(trace_id, span_id)`` pair.
 
-        ``None`` when tracing is off, no trace is active, or the node
-        negotiated a protocol below :data:`~repro.serving.protocol.
-        TRACE_PROTOCOL_VERSION` — a v4 node must never see a trace field.
+        ``None`` when tracing is off or no trace is active.
         """
-        if self.negotiated_version < TRACE_PROTOCOL_VERSION:
-            return None
         return current_wire_trace()
 
     @property
@@ -1186,13 +1165,12 @@ class ClusterShardStore:
     to already-running :class:`ShardNodeServer` instances and can reconnect
     after a connection loss but never spawns or shuts them down.  In both
     shapes a node lost mid-request surfaces as
-    :class:`~repro.serving.protocol.WorkerCrashedError`, exactly like the
-    socketpair RPC layer.
+    :class:`~repro.serving.protocol.WorkerCrashedError`.
 
     A ``data_version`` bump drops base columns and hydration records
     together, pushes ``invalidate`` to every reachable node (dropping node
     caches *and* hydrated slices), and the next fan-out re-hydrates lazily
-    — snapshot re-hydration instead of the RPC layer's fleet re-fork.
+    — snapshot re-hydration, never a fleet re-fork.
 
     Three cold-path controls (all default-off / lossless):
 
@@ -2041,7 +2019,7 @@ class ClusterShardStore:
         """Cluster analog of :meth:`ColumnarSummaryStore.pair_degrees`.
 
         One synchronous fan-out: issue, pump, gather.  Degrees are exactly
-        those of the unsharded store — hydrated snapshots round-trip every
+        those of the local store — hydrated snapshots round-trip every
         float bit and the kernels are row-independent.
         """
         request = self.request_degrees(membership, entity_ids, attribute, phrase)
@@ -2144,16 +2122,14 @@ class ClusterShardStore:
     def node_traces(self, trace_id: int = 0, limit: int = 0) -> list[dict]:
         """Span records collected from every reachable node's trace store.
 
-        Nodes record spans whenever a score frame carries a trace field
-        (negotiated protocol v5+), so the coordinator can stitch one
-        cross-process span tree by querying the fleet after a traced
-        query.  Dead nodes are skipped, mirroring :meth:`node_stats`.
+        Nodes record spans whenever a score frame carries a trace field,
+        so the coordinator can stitch one cross-process span tree by
+        querying the fleet after a traced query.  Dead nodes are skipped,
+        mirroring :meth:`node_stats`.
         """
         replies: list[NodeReply] = []
         for channel in self._channels:
             if channel is None or channel.dead or channel.sock is None:
-                continue
-            if channel.negotiated_version < TRACE_PROTOCOL_VERSION:
                 continue
             replies.append(channel.enqueue(encode_traces_request(trace_id, limit), _decode_traces))
         if replies:
@@ -2256,13 +2232,14 @@ class _PrefetchedQuery:
     handles: list[tuple] = field(default_factory=list)
 
 
-class ClusterQueryEngine(ShardedSubjectiveQueryEngine):
+class ClusterQueryEngine(SubjectiveQueryEngine):
     """Serving front end over TCP shard nodes; results exactly equal to the
-    unsharded engine, with a concurrent batch coordinator.
+    in-process engine, with a concurrent batch coordinator.
 
-    Planning, WHERE-tree vectorization over degree arrays, and the exact
-    ``(-score, str(entity_id), position)`` top-k merge are inherited from
-    the sharded engine verbatim; only the degree transport (an installed
+    Planning, WHERE-tree vectorization over degree arrays, pruned top-k and
+    the exact ``(-score, str(entity_id), position)`` top-k merge are
+    inherited from :class:`~repro.serving.engine.SubjectiveQueryEngine`
+    verbatim; only the degree transport (an installed
     :class:`ClusterShardStore`) and :meth:`run_batch` differ.
 
     ``run_batch`` keeps a bounded window of up to ``max_inflight_queries``
@@ -2294,8 +2271,6 @@ class ClusterQueryEngine(ShardedSubjectiveQueryEngine):
     baseline the cluster benchmark measures against).
     """
 
-    engine_backends = ("cluster",)
-
     def __init__(
         self,
         database: SubjectiveDatabase | None = None,
@@ -2323,22 +2298,25 @@ class ClusterQueryEngine(ShardedSubjectiveQueryEngine):
             num_nodes = default_num_shards()
         if num_nodes < 1:
             raise ValueError(f"num_nodes must be positive, got {num_nodes}")
+        if num_shards is None:
+            num_shards = num_nodes
+        if num_shards < 1:
+            raise ValueError(f"num_shards must be positive, got {num_shards}")
         if max_inflight_queries < 1:
             raise ValueError(
                 f"max_inflight_queries must be positive, got {max_inflight_queries}"
             )
+        super().__init__(
+            database=database,
+            processor=processor,
+            plan_cache_size=plan_cache_size,
+            membership_cache_size=membership_cache_size,
+            candidate_cache_size=candidate_cache_size,
+        )
+        #: Contiguous entity slices of every attribute, spread over the nodes.
+        self.num_shards = num_shards
         self.num_nodes = num_nodes
-        self.max_frame_bytes = max_frame_bytes
-        self.node_cache_size = node_cache_size
-        self.addresses = list(addresses) if addresses is not None else None
-        self.window = window
         self.max_inflight_queries = max_inflight_queries
-        self.connect_timeout = connect_timeout
-        self.io_timeout = io_timeout
-        self.replication = replication
-        self.snapshot_compression = snapshot_compression
-        self.centroid_tolerance = centroid_tolerance
-        self.data_dir = data_dir
         # Batch-local (attribute, phrase) → (unique_ids, degrees) memo;
         # active only inside a concurrent run_batch, cleared on every
         # invalidation so it can never outlive a data version.  The
@@ -2346,37 +2324,39 @@ class ClusterQueryEngine(ShardedSubjectiveQueryEngine):
         # found cached by an earlier windowed query.
         self._vector_memo: dict[tuple, tuple] | None = None
         self._prefetched_pairs: dict[tuple, Sequence[Hashable]] = {}
-        super().__init__(
-            database=database,
-            processor=processor,
-            num_shards=num_shards if num_shards is not None else num_nodes,
-            backend="cluster",
-            max_workers=num_nodes,
-            plan_cache_size=plan_cache_size,
-            membership_cache_size=membership_cache_size,
-            candidate_cache_size=candidate_cache_size,
-        )
+        self.sharded_store: ClusterShardStore | None = None
+        if self.processor.use_columnar:
+            # Installed as the processor's columnar store, so every degree
+            # the processor computes — through this engine or directly — is
+            # node-routed.
+            self.sharded_store = ClusterShardStore(
+                self.database,
+                num_nodes=num_nodes,
+                num_slices=num_shards,
+                base=self.processor.columnar_store,
+                max_frame_bytes=max_frame_bytes,
+                node_cache_size=node_cache_size,
+                addresses=addresses,
+                window=window,
+                connect_timeout=connect_timeout,
+                io_timeout=io_timeout,
+                replication=replication,
+                snapshot_compression=snapshot_compression,
+                centroid_tolerance=centroid_tolerance,
+                data_dir=data_dir,
+            )
+            self.processor.columnar_store = self.sharded_store
+            # Adopt the store's instruments under ``store_*`` names: one
+            # registry view of coordinator counters and fleet counters
+            # (fanouts, requests, hydrations, ...), the cells still owned
+            # and incremented by the store.
+            for name, instrument in self.sharded_store.metrics:
+                self.metrics.register(f"store_{name}", instrument)
 
-    def _build_sharded_store(
-        self, base: ColumnarSummaryStore | None, max_workers: int | None
-    ) -> ClusterShardStore:
-        """Install a :class:`ClusterShardStore` as the processor's columnar store."""
-        return ClusterShardStore(
-            self.database,
-            num_nodes=max_workers,
-            num_slices=self.num_shards,
-            base=base,
-            max_frame_bytes=self.max_frame_bytes,
-            node_cache_size=self.node_cache_size,
-            addresses=self.addresses,
-            window=self.window,
-            connect_timeout=self.connect_timeout,
-            io_timeout=self.io_timeout,
-            replication=self.replication,
-            snapshot_compression=self.snapshot_compression,
-            centroid_tolerance=self.centroid_tolerance,
-            data_dir=self.data_dir,
-        )
+    def close(self) -> None:
+        """Shut the node fleet down (idempotent)."""
+        if self.sharded_store is not None:
+            self.sharded_store.close()
 
     # ----------------------------------------------------- vector-level reuse
     def invalidate(self) -> None:
@@ -2683,9 +2663,27 @@ class ClusterQueryEngine(ShardedSubjectiveQueryEngine):
                     self._vector_memo[memo_fill] = (list(unique_ids), values)
 
     # ----------------------------------------------------------- statistics
+    def _cache_counters(self) -> dict[str, int]:
+        """Cache counters plus the node fleet's transport counters.
+
+        ``run_batch`` reports batch-local deltas of both: request, byte,
+        reconnect and hydration totals next to the cache hit/miss deltas.
+        """
+        counters = super()._cache_counters()
+        if self.sharded_store is not None:
+            counters.update(self.sharded_store.transport_counters())
+        return counters
+
+    def partition_stats(self) -> list[dict[str, object]]:
+        """One dict per node: transport counters plus node cache activity."""
+        if self.sharded_store is None:
+            return []
+        return self.sharded_store.partition_stats()
+
     def stats_snapshot(self) -> dict[str, object]:
         """Serving counters plus cluster fan-out and per-node statistics."""
         snapshot = super().stats_snapshot()
+        snapshot["num_shards"] = self.num_shards
         snapshot["num_nodes"] = self.num_nodes
         snapshot["max_inflight_queries"] = self.max_inflight_queries
         if self.sharded_store is not None:

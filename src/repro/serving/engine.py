@@ -16,13 +16,23 @@ with the amortisation layers a query-serving deployment needs:
   call, which routes through the processor's
   :class:`repro.core.columnar.ColumnarSummaryStore`: a handful of NumPy
   kernel calls over dense per-attribute summary arrays, never
-  entity-by-entity Python loops.
+  entity-by-entity Python loops;
+* **vectorized ranking** — the WHERE tree is evaluated over whole degree
+  vectors through the fuzzy logic's array connectives
+  (:func:`repro.serving.sharded.fuzzy_score_arrays`) and the top-k is
+  selected by heap (:func:`repro.serving.sharded.merge_shard_topk`);
+* **pruned top-k** — selective LIMIT queries over more candidates than one
+  scan chunk take a threshold-style scan that dismisses entities whose
+  score upper bound cannot reach the running k-th score, without running
+  a scoring kernel for them.
 
-Every cache snapshots :attr:`SubjectiveDatabase.data_version`; any ingest
-(entities, reviews, extractions, summaries, index rebuilds) moves the
-version and the next query drops all cached state — including the columnar
-store's built column arrays.  Results are therefore
-always identical to running the wrapped processor directly — the test suite
+The processor's scalar :meth:`~SubjectiveQueryProcessor.rank_candidates`
+remains the oracle, and the ranking path for a fuzzy logic without array
+connectives.  Every cache snapshots :attr:`SubjectiveDatabase.data_version`;
+any ingest (entities, reviews, extractions, summaries, index rebuilds)
+moves the version and the next query drops all cached state — including
+the columnar store's built column arrays.  Results are therefore always
+identical to running the wrapped processor directly — the test suite
 asserts equality and the throughput benchmark measures the speedup.
 """
 
@@ -31,11 +41,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Hashable, Sequence
 
+import numpy as np
+
 from repro.core.database import SubjectiveDatabase
-from repro.core.processor import QueryResult, SubjectiveQueryProcessor
+from repro.core.interpreter import InterpretationMethod
+from repro.core.processor import QueryResult, RankedEntity, SubjectiveQueryProcessor
 from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.slowlog import SlowQueryLog, global_slow_query_log
 from repro.obs.trace import span
+from repro.serving import sharded
 from repro.serving.cache import LRUCache
 from repro.serving.plans import QueryPlan, normalize_sql
 from repro.utils.timing import now
@@ -160,7 +174,7 @@ class BatchResult:
 
 
 class SubjectiveQueryEngine:
-    """Cached, batched serving front end over a subjective database.
+    """Cached, batched, vectorized serving front end over a subjective database.
 
     Parameters
     ----------
@@ -179,6 +193,21 @@ class SubjectiveQueryEngine:
         Maximum cached objective candidate-row lists, keyed per plan.
         Cached rows are shared between results of repeated queries and must
         be treated as read-only by callers.
+    prune_topk:
+        Bound-based top-k pruning (on by default).  Eligible queries whose
+        candidates outnumber the first scan chunk (:attr:`prune_chunk_size`)
+        take a threshold-style pruned scan first (:meth:`_rank_pruned`):
+        candidates are walked in chunks, each chunk's membership degrees
+        are fetched through the store's bounded path with the running k-th
+        score as prune threshold, and entities whose score *upper bound*
+        cannot reach the threshold are dismissed without ever running a
+        scoring kernel.  Survivor scores are bit-identical to the exact
+        path (the bound envelope collapses to the exact arithmetic on
+        fully-scored rows), so the ranking — scores, degrees, tie-breaks —
+        equals the unpruned result exactly.  Any ineligibility (no limit,
+        retrieval predicates, duplicate candidate rows, a logic or
+        membership function without bound support, an exotic WHERE node)
+        falls back to the exact vectorized path for the whole query.
     """
 
     def __init__(
@@ -188,6 +217,7 @@ class SubjectiveQueryEngine:
         plan_cache_size: int | None = 256,
         membership_cache_size: int | None = 200_000,
         candidate_cache_size: int | None = 64,
+        prune_topk: bool = True,
     ) -> None:
         if processor is None:
             if database is None:
@@ -195,8 +225,18 @@ class SubjectiveQueryEngine:
             processor = SubjectiveQueryProcessor(database)
         self.processor = processor
         self.database = processor.database
+        self.prune_topk = prune_topk
+        # Candidate rows in the *first* bounded-scan chunk; each later
+        # chunk is ``prune_chunk_growth`` times larger.  The first chunk
+        # stays small so the threshold exists almost immediately; the
+        # geometric growth keeps the per-chunk fixed cost logarithmic in
+        # the candidate count.  At or below one chunk no threshold exists
+        # before the scan ends, so nothing could be pruned and the exact
+        # vectorized path is cheaper.
+        self.prune_chunk_size = 128
+        self.prune_chunk_growth = 4
         self.plan_cache = LRUCache(plan_cache_size)
-        self.membership_cache = self._build_membership_cache(membership_cache_size)
+        self.membership_cache = LRUCache(membership_cache_size)
         self.candidate_cache = LRUCache(candidate_cache_size)
         self.stats = ServingStats()
         # One registry per engine: every serving counter below is (or is
@@ -208,37 +248,22 @@ class SubjectiveQueryEngine:
         self.metrics.register("batch_queries", self.stats.batch_queries_cell)
         self.metrics.register("invalidations", self.stats.invalidations_cell)
         self.metrics.register("total_seconds", self.stats.total_seconds_cell)
-        self.metrics.register("plan_cache_hits", self.plan_cache.stats.hits_cell)
-        self.metrics.register("plan_cache_misses", self.plan_cache.stats.misses_cell)
-        self.metrics.register("plan_cache_evictions", self.plan_cache.stats.evictions_cell)
-        self.metrics.register("candidate_cache_hits", self.candidate_cache.stats.hits_cell)
-        self.metrics.register("candidate_cache_misses", self.candidate_cache.stats.misses_cell)
-        self.metrics.register(
-            "candidate_cache_evictions", self.candidate_cache.stats.evictions_cell
-        )
-        # The membership cache may be partitioned (its aggregate stats are
-        # computed, not a single cell), so it is exported as collect-time
-        # views instead of registered cells.
-        self.metrics.func_gauge(
-            "membership_cache_hits", lambda: int(self.membership_cache.stats.hits)
-        )
-        self.metrics.func_gauge(
-            "membership_cache_misses", lambda: int(self.membership_cache.stats.misses)
-        )
-        self.metrics.func_gauge(
-            "membership_cache_evictions", lambda: int(self.membership_cache.stats.evictions)
-        )
+        for name, cache in (
+            ("plan_cache", self.plan_cache),
+            ("candidate_cache", self.candidate_cache),
+            ("membership_cache", self.membership_cache),
+        ):
+            self.metrics.register(f"{name}_hits", cache.stats.hits_cell)
+            self.metrics.register(f"{name}_misses", cache.stats.misses_cell)
+            self.metrics.register(f"{name}_evictions", cache.stats.evictions_cell)
         self.latency_histogram = self.metrics.histogram(
             "query_latency_seconds", help="Per-query serving latency"
         )
         # The counter family the bound-based top-k planner reports at every
         # layer: entities scored exactly by a kernel vs. entities dismissed
-        # on a bound alone.  The base engine never prunes, so its pruned
-        # count stays 0 — but layer 1 reporting the same names keeps
-        # run_batch() cache stats comparable across the whole stack.
-        # Exposed as properties over registry cells so harness code that
-        # assigns ``engine.entities_scored = 0`` resets the registered
-        # cell instead of orphaning it.
+        # on a bound alone.  Exposed as properties over registry cells so
+        # harness code that assigns ``engine.entities_scored = 0`` resets
+        # the registered cell instead of orphaning it.
         self._entities_scored_cell = self.metrics.counter("entities_scored")
         self._entities_pruned_cell = self.metrics.counter("entities_pruned")
         self.slow_query_log: SlowQueryLog = global_slow_query_log()
@@ -265,11 +290,10 @@ class SubjectiveQueryEngine:
 
     # ------------------------------------------------------------- lifecycle
     def close(self) -> None:
-        """Release executor or worker resources held by the engine.
+        """Release node resources held by the engine.
 
-        The base engine holds none, so this is a no-op; the sharded engine
-        shuts down its executor pool here and the RPC coordinator shuts
-        down its shard-service worker processes.  Always idempotent, so
+        The in-process engine holds none, so this is a no-op; the cluster
+        engine shuts its node fleet down here.  Always idempotent, so
         ``finally: engine.close()`` (or the context-manager form) is safe
         for every engine flavour.
         """
@@ -281,16 +305,6 @@ class SubjectiveQueryEngine:
     def __exit__(self, exc_type, exc_value, traceback) -> None:
         """Close the engine when the ``with`` block exits."""
         self.close()
-
-    def _build_membership_cache(self, maxsize: int | None):
-        """The membership-degree cache; subclasses may partition it.
-
-        The sharded engine returns a
-        :class:`repro.serving.cache.PartitionedLRUCache` with one partition
-        per shard here; everything else about cache handling (lookup keys,
-        miss batching, ``data_version`` invalidation) is shared.
-        """
-        return LRUCache(maxsize)
 
     # ------------------------------------------------------------ invalidation
     def invalidate(self) -> None:
@@ -411,6 +425,7 @@ class SubjectiveQueryEngine:
             self.candidate_cache.put(plan.normalized_sql, candidates)
         return candidates
 
+    # ---------------------------------------------------------------- ranking
     def _rank(
         self,
         plan: QueryPlan,
@@ -418,15 +433,46 @@ class SubjectiveQueryEngine:
         sql: str,
         top_k: int | None,
     ) -> QueryResult:
-        degree_table: dict[str, dict[Hashable, float]] = {}
-        for predicate, interpretation in plan.interpretations.items():
-            degrees = self.processor.interpretation_degrees(
-                candidates.unique_ids,
-                interpretation,
-                pair_scorer=self._cached_pair_degrees,
-                retrieval_scorer=self._cached_retrieval_degrees,
-            )
-            degree_table[predicate] = dict(zip(candidates.unique_ids, degrees))
+        if not getattr(self.processor.logic, "supports_arrays", False):
+            # No array connectives: the processor's scalar ranking over
+            # cached degrees.
+            degree_table: dict[str, dict[Hashable, float]] = {}
+            for predicate, interpretation in plan.interpretations.items():
+                degrees = self.processor.interpretation_degrees(
+                    candidates.unique_ids,
+                    interpretation,
+                    pair_scorer=self._cached_pair_degrees,
+                    retrieval_scorer=self._cached_retrieval_degrees,
+                )
+                degree_table[predicate] = dict(zip(candidates.unique_ids, degrees))
+            return self._rank_scalar(plan, candidates, degree_table, sql=sql, top_k=top_k)
+        if self.prune_topk and self._prune_enabled():
+            pruned = self._rank_pruned(plan, candidates, sql=sql, top_k=top_k)
+            if pruned is not None:
+                return pruned
+        unique_degrees = {
+            predicate: self._interpretation_degree_vector(candidates.unique_ids, interpretation)
+            for predicate, interpretation in plan.interpretations.items()
+        }
+        result = self._rank_vectorized(plan, candidates, unique_degrees, sql=sql, top_k=top_k)
+        if result is not None:
+            return result
+        # A WHERE node the array walk cannot serve: scalar ranking over the
+        # same degrees.
+        degree_table = {
+            predicate: dict(zip(candidates.unique_ids, degrees.tolist()))
+            for predicate, degrees in unique_degrees.items()
+        }
+        return self._rank_scalar(plan, candidates, degree_table, sql=sql, top_k=top_k)
+
+    def _rank_scalar(
+        self,
+        plan: QueryPlan,
+        candidates: CandidateSet,
+        degree_table: dict[str, dict[Hashable, float]],
+        sql: str,
+        top_k: int | None,
+    ) -> QueryResult:
         return self.processor.rank_candidates(
             plan.statement,
             candidates.rows,
@@ -437,6 +483,334 @@ class SubjectiveQueryEngine:
             row_entities=candidates.row_entities,
         )
 
+    def _interpretation_degree_vector(
+        self, unique_ids: Sequence[Hashable], interpretation
+    ) -> np.ndarray:
+        """Cached degrees of one interpreted predicate as a vector.
+
+        Mirrors :meth:`SubjectiveQueryProcessor.interpretation_degrees`
+        with the per-entity scalar combinator replaced by the fuzzy logic's
+        array connectives — the same left-to-right fold over per-pair
+        degree vectors, so every element is bit-identical to the scalar
+        combination (the differential suite pins this).
+        """
+        if (
+            interpretation.method is InterpretationMethod.TEXT_RETRIEVAL
+            or not interpretation.pairs
+        ):
+            return np.asarray(
+                self._cached_retrieval_degrees(unique_ids, interpretation.predicate),
+                dtype=float,
+            )
+        per_pair = [
+            np.asarray(
+                self._cached_pair_degrees(
+                    unique_ids,
+                    pair.attribute,
+                    self.processor.phrase_for_pair(interpretation, pair.marker),
+                ),
+                dtype=float,
+            )
+            for pair in interpretation.pairs
+        ]
+        logic = self.processor.logic
+        combine = (
+            logic.conjunction_arrays
+            if interpretation.combinator == "and"
+            else logic.disjunction_arrays
+        )
+        return combine(per_pair)
+
+    def _rank_vectorized(
+        self,
+        plan: QueryPlan,
+        candidates: CandidateSet,
+        unique_degrees: dict[str, np.ndarray],
+        sql: str,
+        top_k: int | None,
+    ) -> QueryResult | None:
+        """Exact ranking over degree vectors; ``None`` when the tree has no array form."""
+        statement = plan.statement
+        rows = candidates.rows
+        row_entities = candidates.row_entities
+        if len(row_entities) == len(candidates.unique_ids):
+            # No duplicate entities (the common, join-free case):
+            # row_entities equals unique_ids element for element, so the
+            # per-unique vectors already are the per-row vectors.
+            degree_vectors = unique_degrees
+        else:
+            unique_index = {
+                entity_id: position for position, entity_id in enumerate(candidates.unique_ids)
+            }
+            row_positions = np.fromiter(
+                (unique_index[entity_id] for entity_id in row_entities),
+                dtype=np.intp,
+                count=len(row_entities),
+            )
+            degree_vectors = {
+                predicate: degrees[row_positions] for predicate, degrees in unique_degrees.items()
+            }
+        scores = sharded.fuzzy_score_arrays(
+            statement.where, rows, degree_vectors, self.processor.logic
+        )
+        if scores is None:
+            return None
+        limit = self.processor.result_limit(statement, top_k)
+        with span("merge", rows=len(row_entities)):
+            selected = sharded.merge_shard_topk(scores, row_entities, 1, limit)
+        entities = [
+            RankedEntity(
+                entity_id=row_entities[index],
+                score=float(scores[index]),
+                row=rows[index],
+                predicate_degrees={
+                    predicate: float(vector[index]) for predicate, vector in degree_vectors.items()
+                },
+            )
+            for index in selected
+        ]
+        return QueryResult(sql=sql, entities=entities, interpretations=plan.interpretations)
+
+    # -------------------------------------------------- bound-based pruning
+    def _prune_enabled(self) -> bool:
+        """Whether the pruned path may run right now (hook for subclasses).
+
+        The cluster engine returns ``False`` while a concurrent batch is in
+        flight — its prefetch pipeline already computes full exact vectors,
+        so a threshold scan would only duplicate work.
+        """
+        return True
+
+    def _rank_pruned(
+        self,
+        plan: QueryPlan,
+        candidates: CandidateSet,
+        sql: str,
+        top_k: int | None,
+    ) -> QueryResult | None:
+        """Threshold-style pruned ranking; ``None`` when the query is ineligible.
+
+        Candidates are scanned in chunks.  For each chunk the heap's
+        running k-th score is the prune threshold ``T``: membership degrees
+        are fetched through the store's bounded path (which skips kernels
+        for rows whose degree upper bound is below the per-predicate
+        threshold), rows whose AND-path predicate bound falls below ``T``
+        are dropped from the remaining fetches, and rows whose final score
+        upper bound is below ``T`` never reach the heap.  Every row that
+        survives all of this has exclusively exact degrees, so its folded
+        upper bound *is* its exact score — survivors are pushed without any
+        second scoring pass, and the result is bit-identical to the
+        unpruned ranking.
+        """
+        statement = plan.statement
+        where = statement.where
+        limit = self.processor.result_limit(statement, top_k)
+        row_entities = candidates.row_entities
+        if limit < 1 or where is None:
+            return None
+        if len(row_entities) <= self.prune_chunk_size:
+            return None  # one chunk: no threshold exists before the scan ends
+        if len(row_entities) != len(candidates.unique_ids):
+            return None  # duplicate entities (joins): row remap not worth bounding
+        if len(row_entities) <= limit:
+            return None  # every candidate is kept; nothing to prune
+        logic = self.processor.logic
+        if not getattr(logic, "supports_bounds", False):
+            return None
+        if not self.processor.use_markers or not self.processor.use_columnar:
+            return None
+        store = self.processor.columnar_store
+        if store is None or not hasattr(store, "pair_degrees_bounded"):
+            return None
+        for interpretation in plan.interpretations.values():
+            if (
+                interpretation.method is InterpretationMethod.TEXT_RETRIEVAL
+                or not interpretation.pairs
+            ):
+                return None  # retrieval degrees have no bound form
+        if not sharded.bounds_tree_supported(where, set(plan.interpretations)):
+            return None
+        and_path = sharded.and_path_predicates(where)
+        # AND-path predicates first: their bounds both narrow the alive set
+        # and let the store skip kernel work, so they should see the threshold
+        # before any unboundable work happens.
+        ordered = sorted(
+            (
+                (text, interpretation, text in and_path)
+                for text, interpretation in plan.interpretations.items()
+            ),
+            key=lambda entry: not entry[2],
+        )
+        rows = candidates.rows
+        heap = sharded.TopKThreshold(limit)
+        screen = getattr(store, "pair_degree_envelope", None)
+        membership = self.processor.membership
+        # Vectorized pre-screen out of the store's cached envelope: the
+        # conjunction of the eligible AND-path predicate bounds caps the
+        # query score under any t-norm, so it both *orders* the scan
+        # (descending bound — the threshold-algorithm order, which fills
+        # the heap with the likeliest winners first) and provides a sorted
+        # stop condition: once the head of the remainder is below the k-th
+        # score, no remaining candidate can qualify.  Rows dropped here
+        # never cost any per-entity cache traffic.  The cluster store has
+        # no local envelope access; it skips this and instead ships the
+        # threshold to the nodes.
+        scan_bound: np.ndarray | None = None
+        if screen is not None:
+            cap_vectors: list[np.ndarray] = []
+            for _text, interpretation, on_and_path in ordered:
+                if not on_and_path:
+                    break  # AND-path entries sort first
+                if (
+                    interpretation.combinator != "and"
+                    and len(interpretation.pairs) > 1
+                ):
+                    continue
+                pair_highs = []
+                for pair in interpretation.pairs:
+                    envelope = screen(
+                        membership,
+                        row_entities,
+                        pair.attribute,
+                        self.processor.phrase_for_pair(interpretation, pair.marker),
+                    )
+                    if envelope is None:
+                        pair_highs = None
+                        break
+                    pair_highs.append(envelope[1])
+                if pair_highs:
+                    cap_vectors.extend(pair_highs)
+            if cap_vectors:
+                scan_bound = (
+                    logic.conjunction_arrays(cap_vectors)
+                    if len(cap_vectors) > 1
+                    else cap_vectors[0]
+                )
+        if scan_bound is not None:
+            order = np.argsort(-scan_bound, kind="stable")
+            scan_bound = scan_bound[order]
+            scan_positions = order.tolist()
+            scan_ids = [row_entities[position] for position in scan_positions]
+            scan_rows = [rows[position] for position in scan_positions]
+        else:
+            scan_positions = None
+            scan_ids, scan_rows = row_entities, rows
+        total = len(row_entities)
+        chunk_size = max(1, self.prune_chunk_size)
+        chunk_start = 0
+        while chunk_start < total:
+            threshold = heap.threshold
+            prune_threshold = threshold if threshold is not None else 0.0
+            if (
+                threshold is not None
+                and scan_bound is not None
+                and scan_bound[chunk_start] < prune_threshold
+            ):
+                # Descending bound order: everything from here on is
+                # provably below the k-th score.
+                self.entities_pruned += total - chunk_start
+                break
+            chunk_stop = min(chunk_start + chunk_size, total)
+            chunk_ids = scan_ids[chunk_start:chunk_stop]
+            chunk_rows = scan_rows[chunk_start:chunk_stop]
+            size = chunk_stop - chunk_start
+            alive = np.ones(size, dtype=bool)
+            if threshold is not None and scan_bound is not None:
+                alive = scan_bound[chunk_start:chunk_stop] >= prune_threshold
+                dropped = size - int(np.count_nonzero(alive))
+                if dropped:
+                    self.entities_pruned += dropped
+            bound_vectors: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+            for text, interpretation, on_and_path in ordered:
+                alive_index = np.flatnonzero(alive)
+                if alive_index.size == 0:
+                    break
+                alive_ids = [chunk_ids[position] for position in alive_index]
+                # A pair-level threshold is sound only when the pair value
+                # caps the predicate (t-norm combination, or a single pair)
+                # *and* the predicate caps the query (AND path).
+                pair_threshold = (
+                    prune_threshold
+                    if on_and_path
+                    and (
+                        interpretation.combinator == "and"
+                        or len(interpretation.pairs) == 1
+                    )
+                    else 0.0
+                )
+                pair_lows: list[np.ndarray] = []
+                pair_highs: list[np.ndarray] = []
+                for pair in interpretation.pairs:
+                    fetched = self._bounded_cached_pair_degrees(
+                        alive_ids,
+                        pair.attribute,
+                        self.processor.phrase_for_pair(interpretation, pair.marker),
+                        pair_threshold,
+                    )
+                    if fetched is None:
+                        return None  # no bound support after all: full path
+                    values, exact = fetched
+                    hi = np.asarray(values, dtype=float)
+                    pair_highs.append(hi)
+                    pair_lows.append(np.where(exact, hi, 0.0))
+                combine = (
+                    logic.conjunction_arrays
+                    if interpretation.combinator == "and"
+                    else logic.disjunction_arrays
+                )
+                predicate_lo = combine(pair_lows)
+                predicate_hi = combine(pair_highs)
+                # Scatter into chunk-wide vectors; dead rows keep the
+                # universally sound [0, 1] default (their values are never
+                # read back — they cannot re-enter the alive set).
+                lo_full = np.zeros(size)
+                hi_full = np.ones(size)
+                lo_full[alive_index] = predicate_lo
+                hi_full[alive_index] = predicate_hi
+                bound_vectors[text] = (lo_full, hi_full)
+                if on_and_path:
+                    # Under a t-norm the query score cannot exceed this
+                    # predicate, so rows whose cap is already below the
+                    # k-th score are out — skip them in later fetches.
+                    alive[alive_index] = predicate_hi >= prune_threshold
+            if alive.any():
+                envelope = sharded.fuzzy_bound_arrays(
+                    where, chunk_rows, bound_vectors, logic, prune_below=threshold
+                )
+                if envelope is None:
+                    return None
+                _lo_env, hi_env = envelope
+                for position in np.flatnonzero(alive & (hi_env >= prune_threshold)):
+                    index = int(position)
+                    score = float(hi_env[index])
+                    heap.offer(
+                        score,
+                        chunk_ids[index],
+                        # The tie-break key is the *original* candidate
+                        # position, so the ranking is identical however the
+                        # scan happens to be ordered.
+                        scan_positions[chunk_start + index]
+                        if scan_positions is not None
+                        else chunk_start + index,
+                        payload=RankedEntity(
+                            entity_id=chunk_ids[index],
+                            score=score,
+                            row=chunk_rows[index],
+                            predicate_degrees={
+                                text: float(vectors[1][index])
+                                for text, vectors in bound_vectors.items()
+                            },
+                        ),
+                    )
+            chunk_start = chunk_stop
+            chunk_size *= max(2, self.prune_chunk_growth)
+        return QueryResult(
+            sql=sql,
+            entities=list(heap.selected()),
+            interpretations=plan.interpretations,
+        )
+
+    # ----------------------------------------------------- cached degrees
     def _cached_degrees(
         self,
         entity_ids: Sequence[Hashable],
@@ -491,6 +865,62 @@ class SubjectiveQueryEngine:
             lambda missing: self.processor.retrieval_degrees(missing, predicate),
         )
 
+    def _bounded_cached_pair_degrees(
+        self,
+        entity_ids: Sequence[Hashable],
+        attribute: str,
+        phrase: str,
+        threshold: float,
+    ) -> tuple[list[float], list[bool]] | None:
+        """Membership degrees with per-row exactness, pruned below ``threshold``.
+
+        The bounded twin of :meth:`_cached_pair_degrees`: cache hits are
+        exact by construction (only exact degrees are ever cached), misses
+        go through the store's bounded path, and of the returned values
+        only the exact ones enter the cache — a pruned row's upper bound is
+        *not* its degree and must be recomputed if a later query needs it.
+        Returns ``(values, exact_flags)`` aligned with ``entity_ids``, or
+        ``None`` when the store or membership function cannot bound this
+        phrase.
+        """
+        keys = [(entity_id, attribute, phrase) for entity_id in entity_ids]
+        cached = self.membership_cache.get_many(keys, _MISSING)
+        missing = [
+            entity_id
+            for entity_id, value in zip(entity_ids, cached)
+            if value is _MISSING
+        ]
+        if not missing:
+            return cached, [True] * len(cached)
+        result = self.processor.columnar_store.pair_degrees_bounded(
+            self.processor.membership, missing, attribute, phrase, threshold
+        )
+        if result is None:
+            return None
+        values, exact_mask, scored, pruned = result
+        self.entities_scored += scored
+        self.entities_pruned += pruned
+        self.membership_cache.put_many(
+            [
+                ((entity_id, attribute, phrase), float(value))
+                for entity_id, value, exact in zip(missing, values, exact_mask)
+                if exact
+            ]
+        )
+        filled_values = iter(values)
+        filled_exact = iter(exact_mask)
+        out_values: list[float] = []
+        out_exact: list[bool] = []
+        for value in cached:
+            if value is _MISSING:
+                out_values.append(float(next(filled_values)))
+                out_exact.append(bool(next(filled_exact)))
+            else:
+                out_values.append(value)
+                out_exact.append(True)
+        return out_values, out_exact
+
+    # ----------------------------------------------------------- statistics
     def _cache_counters(self) -> dict[str, int]:
         # Values are snapshotted to plain ints — the counters are live
         # registry cells, and run_batch subtracts a before-dict from an
@@ -511,8 +941,8 @@ class SubjectiveQueryEngine:
         """One dict with serving counters and per-cache hit statistics.
 
         A thin plain-value view over the engine's :attr:`metrics`
-        registry cells — always ``json.dumps``-safe (the worker/node
-        stats handlers ship it over the wire verbatim).
+        registry cells — always ``json.dumps``-safe (the node stats
+        handlers and the gateway ship it over the wire verbatim).
         """
         return {
             "queries": int(self.stats.queries),

@@ -1,10 +1,9 @@
-"""The shard-service wire protocol: one definition for every transport.
+"""The shard-service wire protocol: one definition for every peer.
 
-PR 4 introduced a length-prefixed binary frame protocol between the query
-coordinator and shard workers over local socketpairs; the cluster transport
-(:mod:`repro.serving.cluster`) speaks the very same frames over TCP.  This
-module is the single home of everything both transports share, so the
-socketpair and TCP paths can never drift apart:
+The cluster transport (:mod:`repro.serving.cluster`) and the client-facing
+gateway (:mod:`repro.serving.gateway`) speak length-prefixed binary frames
+over TCP.  This module is the single home of everything they share, so
+the coordinator, the shard nodes and the gateway can never drift apart:
 
 * **framing** — :func:`send_frame` / :func:`recv_frame`: every message is a
   4-byte big-endian payload length followed by that many payload bytes,
@@ -16,22 +15,20 @@ socketpair and TCP paths can never drift apart:
   protocol is well-defined across machines and the f64 byte swap is
   lossless (degree bits survive the round trip);
 * **request/response constants** — the one-byte opcodes and statuses used
-  by every shard service (``score``, ``invalidate``, ``stats``,
-  ``shutdown``, plus the cluster-only ``hello``, ``hydrate`` and
-  ``hydrate delta``, plus the client-facing gateway ``query`` and
-  ``gateway stats``);
+  by the shard nodes (``hello``, ``score``, ``score bounded``,
+  ``hydrate``, ``hydrate delta``, ``invalidate``, ``stats``, ``traces``,
+  ``shutdown``) plus the client-facing gateway ``query`` and ``gateway
+  stats``);
 * **handshake** — the versioned ``hello`` exchange of the TCP transport: a
   connecting coordinator announces its protocol version and
   ``data_version``; the node acknowledges with its own version, the
   version of the snapshot it is hydrated against, and the slice ids it
-  owns.  Version skew is a typed :class:`HandshakeError`, never a hang or
-  a silently misinterpreted stream;
+  owns.  Both ends speak exactly :data:`PROTOCOL_VERSION`; any other
+  version is a typed :class:`HandshakeError`, never a hang or a silently
+  misinterpreted stream;
 * **errors** — the transport error hierarchy (:class:`RpcError`,
   :class:`FrameTooLargeError`, :class:`WorkerCrashedError`,
-  :class:`HandshakeError`) shared by all shard-service layers.
-
-:mod:`repro.serving.rpc` re-exports all of this under its original names,
-so code (and pickles of it) written against PR 4 keeps working unchanged.
+  :class:`HandshakeError`, :class:`GatewayOverloadedError`).
 """
 
 from __future__ import annotations
@@ -45,8 +42,8 @@ import numpy as np
 from repro.errors import ExecutionError
 
 #: Version of the frame/handshake protocol this build speaks.  Bumped on
-#: any wire-visible change; the ``hello`` handshake negotiates (and
-#: refuses unknown versions) — see :data:`SUPPORTED_PROTOCOL_VERSIONS`.
+#: any wire-visible change; the ``hello`` handshake refuses every other
+#: version with a typed :class:`HandshakeError`.
 #: Version 2 added the ``score bounded`` opcode (threshold-pruned scoring
 #: with a per-row exactness mask in the response).  Version 3 added the
 #: ``hydrate delta`` opcode and the snapshot container's flags byte
@@ -60,17 +57,6 @@ from repro.errors import ExecutionError
 #: :mod:`repro.obs`) and the ``traces`` opcode for querying a peer's span
 #: ring buffer.
 PROTOCOL_VERSION = 5
-
-#: Protocol versions this build can interoperate with.  The hello
-#: handshake negotiates ``min(coordinator, node)``: a v5 coordinator
-#: talking to a v4 node (or vice versa) simply never sends trace fields
-#: or ``traces`` requests on that connection, and versions outside this
-#: set stay a typed :class:`HandshakeError`.
-SUPPORTED_PROTOCOL_VERSIONS = frozenset({4, 5})
-
-#: Lowest negotiated version at which trace fields / ``traces`` requests
-#: may be sent on a connection.
-TRACE_PROTOCOL_VERSION = 5
 
 #: Default ceiling on one frame's payload size (requests and responses).
 #: Generous for degree vectors (8 bytes per entity) while still refusing a
@@ -108,7 +94,7 @@ WIRE_U32 = ">u4"
 
 
 class RpcError(ExecutionError):
-    """A shard-service RPC failed (transport fault or worker-side error)."""
+    """A shard-service RPC failed (transport fault or node-side error)."""
 
 
 class FrameTooLargeError(RpcError):
@@ -116,7 +102,7 @@ class FrameTooLargeError(RpcError):
 
 
 class WorkerCrashedError(RpcError):
-    """A shard worker/node died (or closed its socket) mid-request."""
+    """A shard node died (or closed its socket) mid-request."""
 
 
 class HandshakeError(RpcError):
@@ -278,9 +264,9 @@ def pack_trace_field(trace: tuple[int, int] | None) -> bytes:
     """The optional trailing trace field: ``(trace_id, span_id)`` or absent.
 
     Protocol v5.  Encoded as a presence byte plus two u64 ids; ``None``
-    encodes to **zero bytes** — which is exactly what a v4 frame looks
-    like, so receivers detect the field purely from leftover payload
-    (:func:`read_trace_field`) and v4 peers never see it at all.
+    encodes to **zero bytes**, so receivers detect the field purely from
+    leftover payload (:func:`read_trace_field`) and untraced frames pay
+    nothing for it.
     """
     if trace is None:
         return b""
@@ -292,8 +278,8 @@ def read_trace_field(reader: Reader) -> tuple[int, int] | None:
     """Decode the optional trailing trace field; ``None`` when absent.
 
     Must be called after every fixed field of the request has been read:
-    the field is detected by payload remaining, so a v4 frame (nothing
-    left) and an explicit absent marker both return ``None``.
+    the field is detected by payload remaining, so an untraced frame
+    (nothing left) and an explicit absent marker both return ``None``.
     """
     if reader.remaining == 0:
         return None
@@ -314,12 +300,10 @@ def encode_score_request(
     """The ``score`` request frame: one slice's scoring work, indices only.
 
     ``rows`` (slice-relative, ``None`` for a full-slice pass) mirrors the
-    in-process sparse-gather heuristic.  Arrays never travel — the worker
-    resolves ``(attribute, start, stop, rows)`` against its own rebuilt or
-    hydrated columns, exactly like the PR 3 process backend's payloads.
-    ``trace`` optionally appends the v5 trace field (see
-    :func:`pack_trace_field`); only pass it on connections negotiated at
-    :data:`TRACE_PROTOCOL_VERSION` or above.
+    columnar store's sparse-gather heuristic.  Arrays never travel — the
+    node resolves ``(attribute, start, stop, rows)`` against its hydrated
+    columns.  ``trace`` optionally appends the trace field (see
+    :func:`pack_trace_field`).
     """
     parts = [
         _U8.pack(OP_SCORE),
@@ -354,9 +338,9 @@ def encode_score_bounded_request(
 ) -> bytes:
     """The ``score bounded`` request: a score request plus a prune threshold.
 
-    Identical field layout to :func:`encode_score_request` (so workers
+    Identical field layout to :func:`encode_score_request` (so nodes
     resolve the slice and rows the same way) with one trailing big-endian
-    f64: the coordinator's current k-th best score.  The worker may answer
+    f64: the coordinator's current k-th best score.  The node may answer
     any row with its degree *upper bound* instead of its exact degree as
     long as that bound is below the threshold — the response's exactness
     mask says which is which.  ``trace`` optionally appends the v5 trace
@@ -387,7 +371,7 @@ def encode_score_bounded_response(
     """The ``score bounded`` response: values, per-row exactness, counters.
 
     ``values`` holds exact degrees where ``exact_mask`` is set and degree
-    upper bounds elsewhere; ``scored``/``pruned`` are the worker-side row
+    upper bounds elsewhere; ``scored``/``pruned`` are the node-side row
     counts behind the mask, carried explicitly so coordinators aggregate
     counters without re-deriving them.
     """
@@ -530,8 +514,7 @@ def encode_traces_request(trace_id: int = 0, limit: int = 0) -> bytes:
     ``trace_id`` filters to one trace (0 = all buffered spans); ``limit``
     keeps only the newest N matches (0 = no limit).  The response is a
     :data:`STATUS_OK` byte plus one string field holding a JSON array of
-    span dicts (:meth:`repro.obs.TraceStore.to_json`).  Protocol v5 —
-    only send on connections negotiated at that version.
+    span dicts (:meth:`repro.obs.TraceStore.to_json`).
     """
     return _U8.pack(OP_TRACES) + _U64.pack(trace_id) + _U32.pack(limit)
 
@@ -593,13 +576,10 @@ def read_hello_ack(payload: bytes) -> tuple[int, int, list[int], bool]:
     """Decode a ``hello`` acknowledgement; typed errors, never a hang.
 
     Returns ``(protocol_version, data_version, owned_slice_ids,
-    local_store)``.  The acknowledged version may be any member of
-    :data:`SUPPORTED_PROTOCOL_VERSIONS` — the connection then runs at
-    ``min(PROTOCOL_VERSION, acked)``, which is how a v5 coordinator
-    negotiates trace fields *off* against a v4 node.  A transported
-    node-side error or an unsupported version raises
-    :class:`HandshakeError`; a malformed (truncated) acknowledgement does
-    too.
+    local_store)``.  The acknowledged version must be exactly
+    :data:`PROTOCOL_VERSION`.  A transported node-side error or any other
+    version raises :class:`HandshakeError`; a malformed (truncated)
+    acknowledgement does too.
     """
     try:
         reader = Reader(payload)
@@ -607,10 +587,10 @@ def read_hello_ack(payload: bytes) -> tuple[int, int, list[int], bool]:
         if status != STATUS_OK:
             raise HandshakeError(f"node refused the handshake: {reader.read_str()}")
         version = reader.read_u32()
-        if version not in SUPPORTED_PROTOCOL_VERSIONS:
+        if version != PROTOCOL_VERSION:
             raise HandshakeError(
                 f"protocol version mismatch: node speaks {version}, "
-                f"coordinator supports {sorted(SUPPORTED_PROTOCOL_VERSIONS)}"
+                f"coordinator speaks {PROTOCOL_VERSION}"
             )
         data_version = reader.read_u64()
         owned = reader.read_u32_array(reader.read_u32())

@@ -1,73 +1,40 @@
-"""Entity-sharded serving: slice-partitioned columnar scoring with top-k merge.
+"""Vectorized ranking primitives: WHERE trees over degree vectors, bounded top-k.
 
-Subjective-query evaluation is embarrassingly parallel over entities: every
-scoring kernel of :mod:`repro.core.columnar` is row-independent, so any row
-range of an attribute's column arrays can be scored on its own and the
-results concatenated.  This module makes the shard the unit of placement:
+The serving engines rank candidates as whole degree vectors instead of
+row by row.  This module holds the pure, engine-independent pieces:
 
 * :func:`partition_bounds` — the one partitioning rule: K contiguous,
-  exhaustive, disjoint row ranges whose sizes differ by at most one;
-* :class:`ShardedColumnarStore` — partitions a
-  :class:`~repro.core.columnar.ColumnarSummaryStore`'s E axis into K
-  contiguous *slice views* (NumPy basic slices — no copies) and fans a
-  predicate's uncached-degree computation out across them, serially or
-  through a ``concurrent.futures`` executor.  Threads release the GIL
-  inside the NumPy kernels; the process backend ships ``(attribute, start,
-  stop)`` slice indices — never arrays — to forked workers that rebuild
-  their columns from the inherited database;
+  exhaustive, disjoint row ranges whose sizes differ by at most one (the
+  cluster's slice placement and the per-shard top-k merge both use it);
 * :func:`fuzzy_score_arrays` — the WHERE tree evaluated over degree
   *vectors* instead of row by row, using the fuzzy logic's array
   connectives (bit-identical elementwise to the scalar walk);
-* :func:`merge_shard_topk` — per-shard top-k heaps merged into the global
-  ranking under exactly the processor's ``(-score, str(entity_id))`` order
-  with candidate position as the deterministic tie-break (the stable-sort
-  order of the unsharded path);
-* :class:`ShardedSubjectiveQueryEngine` — the serving front end wiring it
-  together: the sharded store is installed as the processor's columnar
-  store (so every degree the processor computes is shard-routed), the
-  membership cache is partitioned per shard, and ranking runs per shard
-  with a global merge.
+* :func:`fuzzy_bound_arrays` — the interval mirror of that walk: a
+  ``[lo, hi]`` score envelope per row from per-predicate degree bounds,
+  which is what lets the pruned top-k scan dismiss rows unscored;
+* :func:`merge_shard_topk` — per-partition top-k heaps merged into the
+  global ranking under exactly the processor's ``(-score,
+  str(entity_id))`` order with candidate position as the deterministic
+  tie-break (the stable-sort order of the scalar path);
+* :class:`TopKThreshold` — the streaming top-k heap publishing the running
+  k-th score as a prune threshold.
 
-Results are exactly — not approximately — those of the unsharded
-:class:`~repro.serving.engine.SubjectiveQueryEngine`; the differential test
-suite pins equality of rankings, scores and degrees for shard counts
-{1, 2, 3, 7} on two domains.  Invalidation stays ``data_version``-driven:
-one version bump drops shard slices, the base columns, and every membership
-cache partition together.
+:class:`~repro.serving.engine.SubjectiveQueryEngine` wires these together;
+results are exactly — not approximately — those of the scalar
+:meth:`~repro.core.processor.SubjectiveQueryProcessor.rank_candidates`
+oracle, which the differential and property suites pin.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Hashable, Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 
-from repro.core.columnar import (
-    AttributeColumns,
-    ColumnarSummaryStore,
-    columnar_kernel,
-    gather_degrees,
-    gather_rows,
-    plan_slice_requests,
-    resolve_slice,
-    scalar_fallback_scorer,
-    slice_view,
-)
-from repro.core.database import SubjectiveDatabase
 from repro.core.fuzzy import FuzzyLogic
-from repro.core.interpreter import InterpretationMethod
-from repro.core.processor import (
-    QueryResult,
-    RankedEntity,
-    SubjectiveQueryProcessor,
-)
 from repro.engine.expressions import (
     AndExpression,
     BetweenExpression,
@@ -78,14 +45,6 @@ from repro.engine.expressions import (
     OrExpression,
     SubjectivePredicate,
 )
-from repro.errors import ExecutionError
-from repro.obs.metrics import MetricsRegistry, cell_property
-from repro.obs.trace import span
-from repro.serving.cache import PartitionedLRUCache
-from repro.serving.engine import _MISSING, CandidateSet, SubjectiveQueryEngine
-from repro.serving.plans import QueryPlan
-
-BACKENDS = ("serial", "thread", "process")
 
 
 # --------------------------------------------------------------------------
@@ -95,8 +54,8 @@ BACKENDS = ("serial", "thread", "process")
 def default_num_shards() -> int:
     """A sensible shard count for this machine: one per core, at least one.
 
-    The default for both :class:`ShardedColumnarStore` and
-    :class:`ShardedSubjectiveQueryEngine` when ``num_shards`` is not given.
+    The default node count of :class:`~repro.serving.cluster.ClusterQueryEngine`
+    and :class:`~repro.serving.cluster.ClusterShardStore`.
     """
     return max(1, os.cpu_count() or 1)
 
@@ -119,486 +78,6 @@ def partition_bounds(num_rows: int, num_shards: int) -> list[int]:
     for index in range(num_shards):
         bounds.append(bounds[-1] + base + (1 if index < extra else 0))
     return bounds
-
-
-@dataclass(frozen=True)
-class ShardSlice:
-    """One shard's contiguous row range of an attribute's columns (a view)."""
-
-    index: int
-    start: int
-    stop: int
-    columns: AttributeColumns
-
-    @property
-    def num_entities(self) -> int:
-        """Number of entity rows the shard owns (``stop - start``)."""
-        return self.stop - self.start
-
-
-# --------------------------------------------------------------------------
-# Execution backends
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ShardTask:
-    """One shard's scoring work for a single predicate computation.
-
-    ``rows`` is ``None`` for a full-slice kernel pass, or the slice-relative
-    row indices for a gathered pass over a sparse subset of the slice (the
-    base store's sparse-gather heuristic, applied per shard).
-    """
-
-    shard: ShardSlice
-    rows: list[int] | None
-
-
-class _SerialBackend:
-    """Run shard tasks inline on the coordinating thread."""
-
-    kind = "serial"
-
-    def map_local(self, fn: Callable[[ShardTask], np.ndarray], tasks: Sequence[ShardTask]):
-        """Score every task inline, in task order."""
-        return [fn(task) for task in tasks]
-
-    def invalidate(self) -> None:
-        """No state to drop (tasks run inline on current data)."""
-
-    def shutdown(self) -> None:
-        """Nothing to shut down."""
-
-
-class _ThreadBackend:
-    """Fan shard tasks out over a thread pool.
-
-    The kernels are NumPy-bound and release the GIL, so threads scale with
-    cores without any data movement: every worker scores views into the
-    parent's column arrays.  Actual concurrency is sized to the hardware:
-    tasks are chunked into at most ``min(max_workers, cpu_count)`` groups
-    (shard *placement* stays per-shard; only the executor refuses to
-    oversubscribe), and a single-core host runs tasks inline — parallelism
-    cannot help there, so the fan-out dispatch cost is not paid either.
-    """
-
-    kind = "thread"
-
-    def __init__(self, max_workers: int) -> None:
-        self.max_workers = max(1, max_workers)
-        self.parallelism = max(1, min(self.max_workers, os.cpu_count() or 1))
-        self._pool: ThreadPoolExecutor | None = None
-
-    def map_local(self, fn: Callable[[ShardTask], np.ndarray], tasks: Sequence[ShardTask]):
-        """Score tasks on the pool (inline when parallelism cannot help)."""
-        if len(tasks) <= 1 or self.parallelism == 1:
-            return [fn(task) for task in tasks]
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.parallelism,
-                thread_name_prefix="repro-shard",
-            )
-        if len(tasks) <= self.parallelism:
-            return list(self._pool.map(fn, tasks))
-        # More tasks than usable cores: strided chunks, one per worker, so
-        # each task still runs exactly once and results keep task order.
-        stride = self.parallelism
-
-        def run_chunk(start: int) -> list[np.ndarray]:
-            """Score every ``stride``-th task beginning at ``start``."""
-            return [fn(task) for task in tasks[start::stride]]
-
-        results: list[np.ndarray | None] = [None] * len(tasks)
-        for start, chunk in enumerate(self._pool.map(run_chunk, range(stride))):
-            results[start::stride] = chunk
-        return results
-
-    def invalidate(self) -> None:
-        """No-op: threads hold no data-version state."""
-
-    def shutdown(self) -> None:
-        """Stop the thread pool (recreated lazily on the next fan-out)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
-# Registry of (database, membership) states visible to forked workers.  A
-# forked child inherits the registry as of fork time; tasks carry the token
-# of the state they need, so concurrently registered stores never collide.
-_PROCESS_REGISTRY: dict[int, tuple[SubjectiveDatabase, object]] = {}
-_PROCESS_TOKENS = itertools.count(1)
-_CHILD_STORES: dict[int, ColumnarSummaryStore] = {}
-
-
-def _process_score(payload: tuple) -> np.ndarray:
-    """Score one shard task inside a forked worker.
-
-    Only slice indices travel over the pipe; the worker rebuilds its column
-    arrays (once, cached per token) from the database snapshot it inherited
-    at fork time.  Deterministic construction makes the arrays — and hence
-    the kernel results — identical to the parent's.
-    """
-    token, attribute, phrase, start, stop, rows = payload
-    database, membership = _PROCESS_REGISTRY[token]
-    store = _CHILD_STORES.get(token)
-    if store is None:
-        store = database.columnar_store()
-        _CHILD_STORES[token] = store
-    columns = store.columns(attribute)
-    kernel = columnar_kernel(membership, database)
-    return kernel(resolve_slice(columns, start, stop, rows), phrase)
-
-
-class _ProcessBackend:
-    """Fan shard tasks out over forked worker processes.
-
-    Workers inherit the database at fork time and rebuild their own column
-    arrays; tasks ship slice indices, not arrays.  Requires the ``fork``
-    start method (the inherited-snapshot contract cannot hold under
-    ``spawn``); invalidation recycles the pool so no worker ever serves a
-    stale snapshot.
-    """
-
-    kind = "process"
-
-    def __init__(self, max_workers: int) -> None:
-        if multiprocessing.get_start_method(allow_none=False) != "fork":
-            raise ExecutionError(
-                "the process shard backend requires the 'fork' start method; "
-                "use backend='thread' on this platform"
-            )
-        self.max_workers = max(1, max_workers)
-        self._pool: ProcessPoolExecutor | None = None
-        self._token: int | None = None
-
-    def register(self, database: SubjectiveDatabase, membership: object) -> int:
-        """Publish the state workers must inherit; returns its task token.
-
-        Forked workers pin the registry as of fork time, so registering a
-        *different* database or membership recycles the pool — the next
-        fan-out re-forks with the new state instead of silently scoring
-        with the stale snapshot.
-        """
-        if self._token is None:
-            self._token = next(_PROCESS_TOKENS)
-        current = _PROCESS_REGISTRY.get(self._token)
-        if current is not None and (
-            current[0] is not database or current[1] is not membership
-        ):
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
-        _PROCESS_REGISTRY[self._token] = (database, membership)
-        return self._token
-
-    def map_payloads(self, payloads: Sequence[tuple]) -> list[np.ndarray]:
-        """Score slice payloads on the forked pool, in payload order."""
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.max_workers,
-                mp_context=multiprocessing.get_context("fork"),
-            )
-        return list(self._pool.map(_process_score, payloads))
-
-    def invalidate(self) -> None:
-        """Recycle the pool: the data changed, so forked snapshots are stale.
-
-        A fresh fork re-inherits the registry with the current data.
-        """
-        self.shutdown()
-
-    def shutdown(self) -> None:
-        """Stop the forked pool and unpublish this backend's registry state."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        if self._token is not None:
-            _PROCESS_REGISTRY.pop(self._token, None)
-            self._token = None
-
-
-def _make_backend(name: str, max_workers: int):
-    if name == "serial":
-        return _SerialBackend()
-    if name == "thread":
-        return _ThreadBackend(max_workers)
-    if name == "process":
-        return _ProcessBackend(max_workers)
-    raise ValueError(f"unknown shard backend {name!r}; expected one of {BACKENDS}")
-
-
-# --------------------------------------------------------------------------
-# The sharded store
-# --------------------------------------------------------------------------
-
-class ShardedColumnarStore:
-    """K contiguous slice views over a columnar store, with fan-out scoring.
-
-    Implements the same ``pair_degrees`` protocol as
-    :class:`~repro.core.columnar.ColumnarSummaryStore`, so a
-    :class:`~repro.core.processor.SubjectiveQueryProcessor` can route
-    through it unchanged.  Degrees are exactly those of the base store: the
-    kernels are row-independent, so scoring each slice view separately
-    performs the same per-row arithmetic as one full pass.
-
-    Invalidation is ``data_version``-driven like every other serving-layer
-    cache: a version bump drops the shard slices *and* the base store's
-    columns together (and recycles process-backend workers, whose forked
-    snapshots are stale).
-    """
-
-    def __init__(
-        self,
-        database: SubjectiveDatabase,
-        num_shards: int | None = None,
-        backend: str = "serial",
-        base: ColumnarSummaryStore | None = None,
-        max_workers: int | None = None,
-    ) -> None:
-        if num_shards is None:
-            num_shards = default_num_shards()
-        if num_shards < 1:
-            raise ValueError(f"num_shards must be positive, got {num_shards}")
-        self.database = database
-        self.num_shards = num_shards
-        self.base = base if base is not None else database.columnar_store()
-        self.backend = _make_backend(backend, max_workers or num_shards)
-        self._slices: dict[str, list[ShardSlice] | None] = {}
-        self._version = database.data_version
-        # Counter cells in the store's registry; the public attributes are
-        # value-read/cell-write properties (cell_property) over them, so
-        # existing ``store.fanouts += 1`` call sites and value reads keep
-        # their old semantics while the registry exports the live cells.
-        self.metrics = MetricsRegistry()
-        self._invalidations_cell = self.metrics.counter("invalidations")
-        self._fanouts_cell = self.metrics.counter(
-            "fanouts", help="Sharded kernel passes (one per predicate computation)"
-        )
-        self._shard_kernel_calls_cell = self.metrics.counter(
-            "shard_kernel_calls", help="Individual per-slice kernel executions"
-        )
-        self._entities_scored_cell = self.metrics.counter(
-            "entities_scored", help="Rows scored exactly on the bounded path"
-        )
-        self._entities_pruned_cell = self.metrics.counter(
-            "entities_pruned", help="Rows dismissed on a bound alone"
-        )
-
-    invalidations = cell_property("_invalidations_cell")
-    fanouts = cell_property("_fanouts_cell")
-    shard_kernel_calls = cell_property("_shard_kernel_calls_cell")
-    entities_scored = cell_property("_entities_scored_cell")
-    entities_pruned = cell_property("_entities_pruned_cell")
-
-    # ------------------------------------------------------------ lifecycle
-    def invalidate(self) -> None:
-        """Drop shard slices and base columns together; recycle stale workers."""
-        self._slices.clear()
-        self.base.invalidate()
-        self.backend.invalidate()
-        self._version = self.database.data_version
-        self.invalidations += 1
-
-    def _check_version(self) -> None:
-        if self._version != self.database.data_version:
-            self.invalidate()
-
-    @property
-    def data_version(self) -> int:
-        """The database version the current slices were built against."""
-        return self._version
-
-    def close(self) -> None:
-        """Shut down executor workers (idempotent)."""
-        self.backend.shutdown()
-
-    # ----------------------------------------------------------- partitions
-    def columns(self, attribute: str) -> AttributeColumns | None:
-        """The unpartitioned column arrays (delegates to the base store)."""
-        self._check_version()
-        return self.base.columns(attribute)
-
-    def shard_slices(self, attribute: str) -> list[ShardSlice] | None:
-        """The K contiguous slice views of one attribute (empty slices kept).
-
-        ``None`` when the attribute has no columns.  Slices are NumPy basic
-        slices of the base arrays — building them copies nothing, and they
-        are cached per attribute until the data version moves.
-        """
-        self._check_version()
-        if attribute not in self._slices:
-            columns = self.base.columns(attribute)
-            if columns is None:
-                self._slices[attribute] = None
-            else:
-                bounds = partition_bounds(columns.num_entities, self.num_shards)
-                self._slices[attribute] = [
-                    ShardSlice(index, start, stop, slice_view(columns, start, stop))
-                    for index, (start, stop) in enumerate(zip(bounds, bounds[1:]))
-                ]
-        return self._slices[attribute]
-
-    # -------------------------------------------------------------- scoring
-    def pair_degrees(
-        self,
-        membership: object,
-        entity_ids: Sequence[Hashable],
-        attribute: str,
-        phrase: str,
-    ) -> list[float] | None:
-        """Sharded analog of :meth:`ColumnarSummaryStore.pair_degrees`.
-
-        Resident entities are grouped by shard and each shard's kernel runs
-        over its slice view (gathered down to the requested rows when they
-        are a sparse subset of the slice, mirroring the base store's
-        heuristic per shard); the backend decides where the per-slice
-        kernels execute.  Entities absent from the columns fall back to
-        per-entity scalar scoring on the coordinating thread, exactly like
-        the base store.  Returns ``None`` under the same conditions the
-        base store does, so callers' fallback behaviour is unchanged.
-        """
-        self._check_version()
-        kernel = columnar_kernel(membership, self.database)
-        if kernel is None:
-            return None
-        if self.backend.kind == "thread" and self.backend.parallelism == 1:
-            # The executor found no usable parallelism (single-core host):
-            # per-slice dispatch would be pure overhead, so run the base
-            # store's one-kernel pass — the kernels are row-independent, so
-            # the arithmetic (and hence every degree) is identical.
-            return self.base.pair_degrees(membership, entity_ids, attribute, phrase)
-        columns = self.base.columns(attribute)
-        if columns is None:
-            return None
-        rows = [columns.row_of.get(entity_id) for entity_id in entity_ids]
-        resident = sorted({row for row in rows if row is not None})
-        batch: np.ndarray | None = None
-        if resident:
-            batch = np.empty(columns.num_entities)
-            tasks, scatters = self._plan_tasks(attribute, resident)
-            embedder = getattr(membership, "embedder", None)
-            if embedder is not None:
-                # Warm the phrase-embedding memo once so concurrent shard
-                # kernels all hit the cache instead of re-embedding.
-                embedder.represent(phrase)
-            results = self._run_tasks(membership, kernel, attribute, phrase, tasks)
-            for scatter_rows, result in zip(scatters, results):
-                batch[scatter_rows] = result
-            self.fanouts += 1
-            self.shard_kernel_calls += len(tasks)
-        return gather_degrees(
-            batch,
-            rows,
-            entity_ids,
-            scalar_fallback_scorer(membership, self.database, attribute, phrase, columns),
-        )
-
-    def pair_degrees_bounded(
-        self,
-        membership: object,
-        entity_ids: Sequence[Hashable],
-        attribute: str,
-        phrase: str,
-        threshold: float,
-    ):
-        """Threshold-aware analog of :meth:`pair_degrees` for top-k pruning.
-
-        Delegates to the base store's
-        :meth:`~repro.core.columnar.ColumnarSummaryStore.pair_degrees_bounded`
-        regardless of backend: the bounded path exists to *avoid* kernel
-        work on cold selective queries, so the fan-out machinery (whose
-        value is parallelising full passes) would only add dispatch
-        overhead around a mostly-skipped computation.  Returns the base
-        store's ``(values, exact_mask, scored, pruned)`` — or ``None`` when
-        the membership function has no bound support, sending the caller
-        back to the exact sharded path.
-        """
-        self._check_version()
-        result = self.base.pair_degrees_bounded(
-            membership, entity_ids, attribute, phrase, threshold
-        )
-        if result is not None:
-            _values, _exact, scored, pruned = result
-            self.entities_scored += scored
-            self.entities_pruned += pruned
-        return result
-
-    def pair_degree_envelope(
-        self,
-        membership: object,
-        entity_ids: Sequence[Hashable],
-        attribute: str,
-        phrase: str,
-    ):
-        """Bound envelope gather, delegated straight to the base store.
-
-        Like :meth:`pair_degrees_bounded` this stays off the fan-out
-        machinery: the envelope read is a cached array gather, far below
-        any dispatch overhead.
-        """
-        self._check_version()
-        return self.base.pair_degree_envelope(membership, entity_ids, attribute, phrase)
-
-    def _plan_tasks(
-        self, attribute: str, resident: list[int]
-    ) -> tuple[list[ShardTask], list[object]]:
-        """Group sorted resident rows by shard into kernel tasks plus scatter targets.
-
-        Each task pairs a shard slice with the slice-relative rows to score
-        (``None`` for a full-slice pass; the base store's sparse-gather
-        heuristic is applied per shard).  Scatter targets place each task's
-        result back into the store-wide degree array.  The grouping itself
-        is :func:`repro.core.columnar.plan_slice_requests` — the same plan
-        the RPC coordinator ships to shard-service workers.
-        """
-        slices = self.shard_slices(attribute)
-        bounds = [shard.start for shard in slices] + [slices[-1].stop if slices else 0]
-        tasks: list[ShardTask] = []
-        scatters: list[object] = []
-        for slice_id, _start, _stop, rows, scatter in plan_slice_requests(bounds, resident):
-            tasks.append(ShardTask(shard=slices[slice_id], rows=rows))
-            scatters.append(scatter)
-        return tasks, scatters
-
-    def _run_tasks(
-        self,
-        membership: object,
-        kernel,
-        attribute: str,
-        phrase: str,
-        tasks: list[ShardTask],
-    ) -> list[np.ndarray]:
-        if self.backend.kind == "process":
-            token = self.backend.register(self.database, membership)
-            payloads = [
-                (token, attribute, phrase, task.shard.start, task.shard.stop, task.rows)
-                for task in tasks
-            ]
-            return self.backend.map_payloads(payloads)
-
-        def score(task: ShardTask) -> np.ndarray:
-            """Run the kernel over one task's (possibly gathered) slice view."""
-            view = task.shard.columns
-            if task.rows is not None:
-                view = gather_rows(view, task.rows)
-            return kernel(view, phrase)
-
-        return self.backend.map_local(score, tasks)
-
-    # ------------------------------------------------------------ statistics
-    def stats_snapshot(self) -> dict[str, object]:
-        """Shard counters plus the wrapped base store's snapshot."""
-        return {
-            "num_shards": self.num_shards,
-            "backend": self.backend.kind,
-            "data_version": self._version,
-            "invalidations": self.invalidations,
-            "fanouts": self.fanouts,
-            "shard_kernel_calls": self.shard_kernel_calls,
-            "entities_scored": self.entities_scored,
-            "entities_pruned": self.entities_pruned,
-            "base": self.base.stats_snapshot(),
-        }
 
 
 # --------------------------------------------------------------------------
@@ -858,9 +337,11 @@ def merge_shard_topk(
     order a stable global sort produces.  The property-based suite checks
     the merge against global sorting for random degree vectors with ties.
     """
+    num_rows = len(row_entities)
+    # Clamped so a LIMIT above the candidate count is just "every row".
+    limit = min(limit, num_rows)
     if limit <= 0:
         return []
-    num_rows = len(row_entities)
     bounds = partition_bounds(num_rows, num_shards)
 
     def key(index: int) -> tuple[float, str, int]:
@@ -931,603 +412,3 @@ class TopKThreshold:
         """Payloads of the kept rows in final ranking order."""
         return [item.payload for item in sorted(self._heap, key=lambda kept: kept.key)]
 
-
-# --------------------------------------------------------------------------
-# The sharded serving engine
-# --------------------------------------------------------------------------
-
-class ShardedSubjectiveQueryEngine(SubjectiveQueryEngine):
-    """Entity-sharded serving front end; results identical to the unsharded engine.
-
-    Three layers become shard-aware:
-
-    * **degrees** — the processor's columnar store is replaced by a
-      :class:`ShardedColumnarStore`, so every uncached membership degree is
-      computed per contiguous entity slice (optionally on an executor);
-    * **membership cache** — partitioned per shard
-      (:class:`~repro.serving.cache.PartitionedLRUCache`), all partitions
-      invalidated together when :attr:`SubjectiveDatabase.data_version`
-      moves;
-    * **ranking** — each query's candidate rows are scored as degree
-      vectors per shard (:func:`fuzzy_score_arrays`) and the per-shard
-      top-k heaps are merged into the global ranking
-      (:func:`merge_shard_topk`).  When the fuzzy logic has no exact array
-      form, ranking transparently falls back to the unsharded scalar path —
-      degrees stay shard-computed either way.
-
-    Parameters mirror :class:`~repro.serving.engine.SubjectiveQueryEngine`
-    plus ``num_shards`` (K contiguous slices of every attribute's E axis;
-    defaults to :func:`default_num_shards` — one per core), ``backend``
-    (``"serial"``, ``"thread"`` or ``"process"``), ``max_workers``
-    (defaults to ``num_shards``) and ``prune_topk`` (bound-based top-k
-    pruning, on by default).
-
-    With ``prune_topk`` on, eligible top-k queries take a threshold-style
-    pruned scan first (:meth:`_rank_pruned`): candidates are walked in
-    chunks, each chunk's membership degrees are fetched through the
-    store's bounded path with the running k-th score as prune threshold,
-    and entities whose score *upper bound* cannot reach the threshold are
-    dismissed without ever running a scoring kernel.  Survivor scores are
-    bit-identical to the exact path (the bound envelope collapses to the
-    exact arithmetic on fully-scored rows), so the ranking — scores,
-    degrees, tie-breaks — equals the unpruned result exactly; the
-    differential suite pins this at several shard counts.  Any
-    ineligibility (no limit, retrieval predicates, duplicate candidate
-    rows, a logic or membership function without bound support, an exotic
-    WHERE node) falls back to the ordinary exact path for the whole query.
-    """
-
-    #: Backend names this engine accepts; the RPC coordinator overrides it.
-    engine_backends = BACKENDS
-
-    def __init__(
-        self,
-        database: SubjectiveDatabase | None = None,
-        processor: SubjectiveQueryProcessor | None = None,
-        num_shards: int | None = None,
-        backend: str = "serial",
-        max_workers: int | None = None,
-        plan_cache_size: int | None = 256,
-        membership_cache_size: int | None = 200_000,
-        candidate_cache_size: int | None = 64,
-        prune_topk: bool = True,
-    ) -> None:
-        if num_shards is None:
-            num_shards = default_num_shards()
-        if num_shards < 1:
-            raise ValueError(f"num_shards must be positive, got {num_shards}")
-        if backend not in self.engine_backends:
-            raise ValueError(
-                f"unknown shard backend {backend!r}; expected one of {self.engine_backends}"
-            )
-        self.num_shards = num_shards
-        self.backend = backend
-        self.prune_topk = prune_topk
-        # Candidate rows in the *first* bounded-scan chunk; each later
-        # chunk is ``prune_chunk_growth`` times larger.  The first chunk
-        # stays small so the threshold exists almost immediately; the
-        # geometric growth keeps the per-chunk fixed cost logarithmic in
-        # the candidate count.
-        self.prune_chunk_size = 128
-        self.prune_chunk_growth = 4
-        super().__init__(
-            database=database,
-            processor=processor,
-            plan_cache_size=plan_cache_size,
-            membership_cache_size=membership_cache_size,
-            candidate_cache_size=candidate_cache_size,
-        )
-        self.sharded_store: ShardedColumnarStore | None = None
-        if self.processor.use_columnar:
-            base = self.processor.columnar_store
-            if isinstance(base, ShardedColumnarStore):
-                self.sharded_store = base
-            else:
-                self.sharded_store = self._build_sharded_store(base, max_workers)
-            # Install the sharded store so every degree the processor
-            # computes — through this engine or directly — is shard-routed.
-            self.processor.columnar_store = self.sharded_store
-        self._register_store_metrics()
-
-    def _register_store_metrics(self) -> None:
-        """Adopt the installed store's instruments under ``store_*`` names.
-
-        Gives the engine's :attr:`metrics` registry one unified view of
-        coordinator-side serving counters *and* the store/fleet counters
-        (fanouts, RPC requests, hydrations, …) — the cells stay owned and
-        incremented by the store, exactly like the cache cells.
-        """
-        store = self.sharded_store
-        store_metrics = getattr(store, "metrics", None)
-        if store_metrics is None:
-            return
-        for name, instrument in store_metrics:
-            self.metrics.register(f"store_{name}", instrument)
-
-    def _build_sharded_store(self, base: ColumnarSummaryStore | None, max_workers: int | None):
-        """The shard-routed store this engine installs on its processor.
-
-        The in-process engine wraps the base columnar store in a
-        :class:`ShardedColumnarStore`; the RPC coordinator overrides this to
-        return an :class:`repro.serving.rpc.RpcShardStore` speaking the same
-        ``pair_degrees`` protocol over shard-service workers.
-        """
-        return ShardedColumnarStore(
-            self.database,
-            num_shards=self.num_shards,
-            backend=self.backend,
-            base=base,
-            max_workers=max_workers,
-        )
-
-    def _build_membership_cache(self, maxsize: int | None) -> PartitionedLRUCache:
-        return PartitionedLRUCache(self.num_shards, maxsize)
-
-    def close(self) -> None:
-        """Shut down shard executor workers (idempotent)."""
-        if self.sharded_store is not None:
-            self.sharded_store.close()
-
-    # -------------------------------------------------------------- ranking
-    def _rank(
-        self,
-        plan: QueryPlan,
-        candidates: CandidateSet,
-        sql: str,
-        top_k: int | None,
-    ) -> QueryResult:
-        # A logic without array connectives takes the unsharded scalar path
-        # outright (degrees are still shard-computed through the installed
-        # sharded store).
-        if not getattr(self.processor.logic, "supports_arrays", False):
-            return super()._rank(plan, candidates, sql=sql, top_k=top_k)
-        if self.prune_topk and self._prune_enabled():
-            pruned = self._rank_pruned(plan, candidates, sql=sql, top_k=top_k)
-            if pruned is not None:
-                return pruned
-        unique_degrees = {
-            predicate: self._interpretation_degree_vector(candidates.unique_ids, interpretation)
-            for predicate, interpretation in plan.interpretations.items()
-        }
-        result = self._rank_sharded(plan, candidates, unique_degrees, sql=sql, top_k=top_k)
-        if result is not None:
-            return result
-        # Scalar fallback (a WHERE node the array walk cannot serve):
-        # identical path to the unsharded engine.
-        degree_table = {
-            predicate: dict(zip(candidates.unique_ids, degrees.tolist()))
-            for predicate, degrees in unique_degrees.items()
-        }
-        return self.processor.rank_candidates(
-            plan.statement,
-            candidates.rows,
-            plan.interpretations,
-            degree_table=degree_table,
-            sql=sql,
-            top_k=top_k,
-            row_entities=candidates.row_entities,
-        )
-
-    def _interpretation_degree_vector(
-        self, unique_ids: Sequence[Hashable], interpretation
-    ) -> np.ndarray:
-        """Cached degrees of one interpreted predicate as a vector.
-
-        Mirrors :meth:`SubjectiveQueryProcessor.interpretation_degrees`
-        with the per-entity scalar combinator replaced by the fuzzy logic's
-        array connectives — the same left-to-right fold over per-pair
-        degree vectors, so every element is bit-identical to the scalar
-        combination (the differential suite pins this).
-        """
-        if (
-            interpretation.method is InterpretationMethod.TEXT_RETRIEVAL
-            or not interpretation.pairs
-        ):
-            return np.asarray(
-                self._cached_retrieval_degrees(unique_ids, interpretation.predicate),
-                dtype=float,
-            )
-        per_pair = [
-            np.asarray(
-                self._cached_pair_degrees(
-                    unique_ids,
-                    pair.attribute,
-                    self.processor.phrase_for_pair(interpretation, pair.marker),
-                ),
-                dtype=float,
-            )
-            for pair in interpretation.pairs
-        ]
-        logic = self.processor.logic
-        combine = (
-            logic.conjunction_arrays
-            if interpretation.combinator == "and"
-            else logic.disjunction_arrays
-        )
-        return combine(per_pair)
-
-    def _rank_sharded(
-        self,
-        plan: QueryPlan,
-        candidates: CandidateSet,
-        unique_degrees: dict[str, np.ndarray],
-        sql: str,
-        top_k: int | None,
-    ) -> QueryResult | None:
-        statement = plan.statement
-        rows = candidates.rows
-        row_entities = candidates.row_entities
-        if len(row_entities) == len(candidates.unique_ids):
-            # No duplicate entities (the common, join-free case):
-            # row_entities equals unique_ids element for element, so the
-            # per-unique vectors already are the per-row vectors.
-            degree_vectors = unique_degrees
-        else:
-            unique_index = {
-                entity_id: position for position, entity_id in enumerate(candidates.unique_ids)
-            }
-            row_positions = np.fromiter(
-                (unique_index[entity_id] for entity_id in row_entities),
-                dtype=np.intp,
-                count=len(row_entities),
-            )
-            degree_vectors = {
-                predicate: degrees[row_positions] for predicate, degrees in unique_degrees.items()
-            }
-        scores = fuzzy_score_arrays(
-            statement.where, rows, degree_vectors, self.processor.logic
-        )
-        if scores is None:
-            return None
-        limit = statement.limit or top_k or self.processor.top_k
-        with span("merge", num_shards=self.num_shards, rows=len(row_entities)):
-            selected = merge_shard_topk(scores, row_entities, self.num_shards, limit)
-        entities = [
-            RankedEntity(
-                entity_id=row_entities[index],
-                score=float(scores[index]),
-                row=rows[index],
-                predicate_degrees={
-                    predicate: float(vector[index]) for predicate, vector in degree_vectors.items()
-                },
-            )
-            for index in selected
-        ]
-        return QueryResult(sql=sql, entities=entities, interpretations=plan.interpretations)
-
-    # -------------------------------------------------- bound-based pruning
-    def _prune_enabled(self) -> bool:
-        """Whether the pruned path may run right now (hook for subclasses).
-
-        The cluster engine returns ``False`` while a concurrent batch is in
-        flight — its prefetch pipeline already computes full exact vectors,
-        so a threshold scan would only duplicate work.
-        """
-        return True
-
-    def _rank_pruned(
-        self,
-        plan: QueryPlan,
-        candidates: CandidateSet,
-        sql: str,
-        top_k: int | None,
-    ) -> QueryResult | None:
-        """Threshold-style pruned ranking; ``None`` when the query is ineligible.
-
-        Candidates are scanned in chunks.  For each chunk the heap's
-        running k-th score is the prune threshold ``T``: membership degrees
-        are fetched through the store's bounded path (which skips kernels
-        for rows and whole slices whose degree upper bound is below the
-        per-predicate threshold), rows whose AND-path predicate bound falls
-        below ``T`` are dropped from the remaining fetches, and rows whose
-        final score upper bound is below ``T`` never reach the heap.  Every
-        row that survives all of this has exclusively exact degrees, so its
-        folded upper bound *is* its exact score — survivors are pushed
-        without any second scoring pass, and the result is bit-identical to
-        the unpruned ranking.
-        """
-        statement = plan.statement
-        where = statement.where
-        limit = statement.limit or top_k or self.processor.top_k
-        row_entities = candidates.row_entities
-        if not limit or limit < 1 or where is None:
-            return None
-        if len(row_entities) != len(candidates.unique_ids):
-            return None  # duplicate entities (joins): row remap not worth bounding
-        if len(row_entities) <= limit:
-            return None  # every candidate is kept; nothing to prune
-        logic = self.processor.logic
-        if not getattr(logic, "supports_bounds", False):
-            return None
-        if not self.processor.use_markers or not self.processor.use_columnar:
-            return None
-        store = self.processor.columnar_store
-        if store is None or not hasattr(store, "pair_degrees_bounded"):
-            return None
-        for interpretation in plan.interpretations.values():
-            if (
-                interpretation.method is InterpretationMethod.TEXT_RETRIEVAL
-                or not interpretation.pairs
-            ):
-                return None  # retrieval degrees have no bound form
-        if not bounds_tree_supported(where, set(plan.interpretations)):
-            return None
-        and_path = and_path_predicates(where)
-        # AND-path predicates first: their bounds both narrow the alive set
-        # and let the store skip slices, so they should see the threshold
-        # before any unboundable work happens.
-        ordered = sorted(
-            (
-                (text, interpretation, text in and_path)
-                for text, interpretation in plan.interpretations.items()
-            ),
-            key=lambda entry: not entry[2],
-        )
-        rows = candidates.rows
-        heap = TopKThreshold(limit)
-        screen = getattr(store, "pair_degree_envelope", None)
-        membership = self.processor.membership
-        # Vectorized pre-screen out of the store's cached envelope: the
-        # conjunction of the eligible AND-path predicate bounds caps the
-        # query score under any t-norm, so it both *orders* the scan
-        # (descending bound — the threshold-algorithm order, which fills
-        # the heap with the likeliest winners first) and provides a sorted
-        # stop condition: once the head of the remainder is below the k-th
-        # score, no remaining candidate can qualify.  Rows dropped here
-        # never cost any per-entity cache traffic.  Store layers without
-        # local envelope access (RPC, cluster) skip this and instead ship
-        # the threshold to the nodes.
-        scan_bound: np.ndarray | None = None
-        if screen is not None:
-            cap_vectors: list[np.ndarray] = []
-            for _text, interpretation, on_and_path in ordered:
-                if not on_and_path:
-                    break  # AND-path entries sort first
-                if (
-                    interpretation.combinator != "and"
-                    and len(interpretation.pairs) > 1
-                ):
-                    continue
-                pair_highs = []
-                for pair in interpretation.pairs:
-                    envelope = screen(
-                        membership,
-                        row_entities,
-                        pair.attribute,
-                        self.processor.phrase_for_pair(interpretation, pair.marker),
-                    )
-                    if envelope is None:
-                        pair_highs = None
-                        break
-                    pair_highs.append(envelope[1])
-                if pair_highs:
-                    cap_vectors.extend(pair_highs)
-            if cap_vectors:
-                scan_bound = (
-                    logic.conjunction_arrays(cap_vectors)
-                    if len(cap_vectors) > 1
-                    else cap_vectors[0]
-                )
-        if scan_bound is not None:
-            order = np.argsort(-scan_bound, kind="stable")
-            scan_bound = scan_bound[order]
-            scan_positions = order.tolist()
-            scan_ids = [row_entities[position] for position in scan_positions]
-            scan_rows = [rows[position] for position in scan_positions]
-        else:
-            scan_positions = None
-            scan_ids, scan_rows = row_entities, rows
-        total = len(row_entities)
-        # Chunks grow geometrically: the first (small) chunk seeds the
-        # heap so a real threshold exists almost immediately, and the
-        # growth keeps the per-chunk fixed cost of the bounded store
-        # round-trips logarithmic in the candidate count.
-        chunk_size = max(1, self.prune_chunk_size)
-        chunk_start = 0
-        while chunk_start < total:
-            threshold = heap.threshold
-            prune_threshold = threshold if threshold is not None else 0.0
-            if (
-                threshold is not None
-                and scan_bound is not None
-                and scan_bound[chunk_start] < prune_threshold
-            ):
-                # Descending bound order: everything from here on is
-                # provably below the k-th score.
-                self.entities_pruned += total - chunk_start
-                break
-            chunk_stop = min(chunk_start + chunk_size, total)
-            chunk_ids = scan_ids[chunk_start:chunk_stop]
-            chunk_rows = scan_rows[chunk_start:chunk_stop]
-            size = chunk_stop - chunk_start
-            alive = np.ones(size, dtype=bool)
-            if threshold is not None and scan_bound is not None:
-                alive = scan_bound[chunk_start:chunk_stop] >= prune_threshold
-                dropped = size - int(np.count_nonzero(alive))
-                if dropped:
-                    self.entities_pruned += dropped
-            bound_vectors: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-            for text, interpretation, on_and_path in ordered:
-                alive_index = np.flatnonzero(alive)
-                if alive_index.size == 0:
-                    break
-                alive_ids = [chunk_ids[position] for position in alive_index]
-                # A pair-level threshold is sound only when the pair value
-                # caps the predicate (t-norm combination, or a single pair)
-                # *and* the predicate caps the query (AND path).
-                pair_threshold = (
-                    prune_threshold
-                    if on_and_path
-                    and (
-                        interpretation.combinator == "and"
-                        or len(interpretation.pairs) == 1
-                    )
-                    else 0.0
-                )
-                pair_lows: list[np.ndarray] = []
-                pair_highs: list[np.ndarray] = []
-                for pair in interpretation.pairs:
-                    fetched = self._bounded_cached_pair_degrees(
-                        alive_ids,
-                        pair.attribute,
-                        self.processor.phrase_for_pair(interpretation, pair.marker),
-                        pair_threshold,
-                    )
-                    if fetched is None:
-                        return None  # no bound support after all: full path
-                    values, exact = fetched
-                    hi = np.asarray(values, dtype=float)
-                    pair_highs.append(hi)
-                    pair_lows.append(np.where(exact, hi, 0.0))
-                combine = (
-                    logic.conjunction_arrays
-                    if interpretation.combinator == "and"
-                    else logic.disjunction_arrays
-                )
-                predicate_lo = combine(pair_lows)
-                predicate_hi = combine(pair_highs)
-                # Scatter into chunk-wide vectors; dead rows keep the
-                # universally sound [0, 1] default (their values are never
-                # read back — they cannot re-enter the alive set).
-                lo_full = np.zeros(size)
-                hi_full = np.ones(size)
-                lo_full[alive_index] = predicate_lo
-                hi_full[alive_index] = predicate_hi
-                bound_vectors[text] = (lo_full, hi_full)
-                if on_and_path:
-                    # Under a t-norm the query score cannot exceed this
-                    # predicate, so rows whose cap is already below the
-                    # k-th score are out — skip them in later fetches.
-                    alive[alive_index] = predicate_hi >= prune_threshold
-            if alive.any():
-                envelope = fuzzy_bound_arrays(
-                    where, chunk_rows, bound_vectors, logic, prune_below=threshold
-                )
-                if envelope is None:
-                    return None
-                _lo_env, hi_env = envelope
-                for position in np.flatnonzero(alive & (hi_env >= prune_threshold)):
-                    index = int(position)
-                    score = float(hi_env[index])
-                    heap.offer(
-                        score,
-                        chunk_ids[index],
-                        # The tie-break key is the *original* candidate
-                        # position, so the ranking is identical however the
-                        # scan happens to be ordered.
-                        scan_positions[chunk_start + index]
-                        if scan_positions is not None
-                        else chunk_start + index,
-                        payload=RankedEntity(
-                            entity_id=chunk_ids[index],
-                            score=score,
-                            row=chunk_rows[index],
-                            predicate_degrees={
-                                text: float(vectors[1][index])
-                                for text, vectors in bound_vectors.items()
-                            },
-                        ),
-                    )
-            chunk_start = chunk_stop
-            chunk_size *= max(2, self.prune_chunk_growth)
-        return QueryResult(
-            sql=sql,
-            entities=list(heap.selected()),
-            interpretations=plan.interpretations,
-        )
-
-    def _bounded_cached_pair_degrees(
-        self,
-        entity_ids: Sequence[Hashable],
-        attribute: str,
-        phrase: str,
-        threshold: float,
-    ) -> tuple[list[float], list[bool]] | None:
-        """Membership degrees with per-row exactness, pruned below ``threshold``.
-
-        The bounded twin of the base engine's ``_cached_pair_degrees``:
-        cache hits are exact by construction (only exact degrees are ever
-        cached), misses go through the store's bounded path, and of the
-        returned values only the exact ones enter the cache — a pruned
-        row's upper bound is *not* its degree and must be recomputed if a
-        later query needs it.  Returns ``(values, exact_flags)`` aligned
-        with ``entity_ids``, or ``None`` when the store or membership
-        function cannot bound this phrase.
-        """
-        keys = [(entity_id, attribute, phrase) for entity_id in entity_ids]
-        cached = self.membership_cache.get_many(keys, _MISSING)
-        missing = [
-            entity_id
-            for entity_id, value in zip(entity_ids, cached)
-            if value is _MISSING
-        ]
-        if not missing:
-            return cached, [True] * len(cached)
-        result = self.processor.columnar_store.pair_degrees_bounded(
-            self.processor.membership, missing, attribute, phrase, threshold
-        )
-        if result is None:
-            return None
-        values, exact_mask, scored, pruned = result
-        self.entities_scored += scored
-        self.entities_pruned += pruned
-        self.membership_cache.put_many(
-            [
-                ((entity_id, attribute, phrase), float(value))
-                for entity_id, value, exact in zip(missing, values, exact_mask)
-                if exact
-            ]
-        )
-        filled_values = iter(values)
-        filled_exact = iter(exact_mask)
-        out_values: list[float] = []
-        out_exact: list[bool] = []
-        for value in cached:
-            if value is _MISSING:
-                out_values.append(float(next(filled_values)))
-                out_exact.append(bool(next(filled_exact)))
-            else:
-                out_values.append(value)
-                out_exact.append(True)
-        return out_values, out_exact
-
-    # ----------------------------------------------------------- statistics
-    def _cache_counters(self) -> dict[str, int]:
-        """Cache counters plus the installed store's transport counters.
-
-        The hook that puts per-fleet RPC activity into ``run_batch``
-        statistics: stores with a service boundary (the socketpair RPC
-        store, the TCP cluster store) expose ``transport_counters()`` —
-        request/byte/reconnect totals — and ``run_batch`` reports their
-        batch-local deltas alongside the cache hit/miss deltas.
-        """
-        counters = super()._cache_counters()
-        store = self.sharded_store
-        transport = getattr(store, "transport_counters", None)
-        if transport is not None:
-            counters.update(transport())
-        return counters
-
-    def partition_stats(self) -> list[dict[str, object]]:
-        """Per-partition serving statistics: one dict per shard/worker/node.
-
-        For the in-process sharded engine these are the membership cache's
-        per-shard partitions; engines whose store puts shards behind a
-        service boundary override the *store* side — a store exposing its
-        own ``partition_stats()`` (per-worker/per-node RPC counters:
-        requests, bytes, cache hits, reconnects) takes precedence here, so
-        operators see the fleet, not just the local cache.
-        """
-        store = self.sharded_store
-        stats = getattr(store, "partition_stats", None)
-        if stats is not None:
-            return stats()
-        return self.membership_cache.partition_stats()
-
-    def stats_snapshot(self) -> dict[str, object]:
-        """Serving counters plus shard count, backend and per-partition cache stats."""
-        snapshot = super().stats_snapshot()
-        snapshot["num_shards"] = self.num_shards
-        snapshot["backend"] = self.backend
-        snapshot["membership_cache_partitions"] = self.membership_cache.partition_stats()
-        return snapshot

@@ -5,7 +5,7 @@ The observability migration (ISSUE 10) rewired every ad-hoc counter onto
 dict-returning APIs — ``stats_snapshot()``, ``partition_stats()``,
 ``transport_counters()``, ``GatewayCounters.as_dict()`` — as thin views
 over the same cells.  This suite drives real traffic through every layer
-(serial, in-process sharded, forked RPC workers, TCP cluster nodes, the
+(the in-process engine with and without pruning, TCP cluster nodes, the
 asyncio gateway) and asserts the two surfaces agree *exactly*: a drift
 between a registry cell and its legacy view means a counter was forked,
 not migrated.
@@ -27,13 +27,12 @@ from hypothesis import strategies as st
 from repro.obs import Histogram, MetricsRegistry
 from repro.serving import (
     ClusterQueryEngine,
-    CoordinatorQueryEngine,
     GatewayClient,
     ServingGateway,
-    ShardedSubjectiveQueryEngine,
     SubjectiveQueryEngine,
     start_gateway,
 )
+from repro.testing import build_synthetic_columnar_database
 from repro.serving.protocol import Reader, pack_trace_field, read_trace_field
 
 QUERIES = [
@@ -83,59 +82,27 @@ class TestSerialEngine:
         assert engine.metrics.snapshot()["entities_scored"] == 0
 
 
-class TestShardedEngine:
-    def test_registry_matches_snapshot_and_store_cells(self, hotel_database):
-        engine = ShardedSubjectiveQueryEngine(database=hotel_database, num_shards=3)
-        _drive(engine)
-        _assert_engine_registry_matches_snapshot(engine)
-        registry = engine.metrics.snapshot()
-        store = engine.sharded_store
-        # The adopted store_* instruments are the store's own cells.
-        assert registry["store_fanouts"] == store.fanouts
-        assert registry["store_shard_kernel_calls"] == store.shard_kernel_calls
-        assert registry["store_entities_scored"] == store.entities_scored > 0
-        assert registry["store_entities_pruned"] == store.entities_pruned
-        assert registry["store_invalidations"] == store.invalidations
-        # partition_stats (the membership cache's per-shard view) must sum
-        # to the registry's aggregate membership gauges.
-        partitions = engine.partition_stats()
-        assert len(partitions) == 3
-        assert sum(p["hits"] for p in partitions) == registry["membership_cache_hits"]
-        assert sum(p["misses"] for p in partitions) == registry["membership_cache_misses"]
-
-
-class TestRpcEngine:
-    def test_registry_matches_snapshot_and_partition_stats(self, hotel_database):
-        with CoordinatorQueryEngine(database=hotel_database, num_workers=2) as engine:
-            _drive(engine)
+class TestPrunedEngine:
+    def test_pruning_counters_match_snapshot(self):
+        """Pruned and unpruned engines report the same registry/legacy totals."""
+        database = build_synthetic_columnar_database(num_entities=300, seed=11)
+        sql = 'select * from Entities where "word003" and "word019" limit 5'
+        for prune_topk in (True, False):
+            engine = SubjectiveQueryEngine(database=database, prune_topk=prune_topk)
+            engine.execute(sql)
+            engine.run_batch([sql, sql.replace("limit 5", "limit 3")])
             _assert_engine_registry_matches_snapshot(engine)
             registry = engine.metrics.snapshot()
-            store = engine.sharded_store
-            legacy = store.stats_snapshot()
-            for name in (
-                "invalidations",
-                "respawns",
-                "fanouts",
-                "rpc_requests",
-                "entities_scored",
-                "entities_pruned",
-            ):
-                assert registry[f"store_{name}"] == legacy[name], name
-            assert registry["store_rpc_requests"] > 0
-            # Coordinator-side transport counters and the per-worker
-            # partition dicts are two views of the same tallies.
-            partitions = store.partition_stats()
-            transport = store.transport_counters()
-            assert len(partitions) == 2 and all(p["alive"] for p in partitions)
-            assert sum(p["requests"] for p in partitions) >= transport["rpc_requests"] - len(
-                partitions
-            )
-            assert sum(p["respawns"] for p in partitions) == transport["worker_respawns"]
+            assert registry["entities_scored"] > 0
+            assert (registry["entities_pruned"] > 0) is prune_topk
 
 
 class TestClusterEngine:
     def test_registry_matches_snapshot_and_node_stats(self, hotel_database):
         with ClusterQueryEngine(database=hotel_database, num_nodes=2) as engine:
+            # The 16-hotel fixture fits in one default scan chunk; a smaller
+            # chunk drives the bounded node path whose counters are pinned.
+            engine.prune_chunk_size = 4
             _drive(engine)
             _assert_engine_registry_matches_snapshot(engine)
             registry = engine.metrics.snapshot()
@@ -163,6 +130,18 @@ class TestClusterEngine:
                 >= legacy["entities_scored"]
                 > 0
             )
+
+    def test_partition_stats_reconcile_with_transport(self, hotel_database):
+        """Per-node partition dicts and the transport totals are two views."""
+        with ClusterQueryEngine(database=hotel_database, num_nodes=2) as engine:
+            _drive(engine)
+            store = engine.sharded_store
+            partitions = engine.partition_stats()
+            transport = store.transport_counters()
+            assert len(partitions) == 2
+            assert sum(p["requests"] for p in partitions) == transport["rpc_requests"] > 0
+            assert sum(p["respawns"] for p in partitions) == transport["node_respawns"]
+            assert sum(p["bytes_sent"] for p in partitions) == transport["rpc_bytes_sent"]
 
 
 class TestGateway:

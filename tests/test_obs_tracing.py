@@ -7,12 +7,13 @@ Pins the tracing half of the observability layer (ISSUE 10):
   :func:`record_span` is the wire-side primitive that records regardless
   of the local flag (the coordinator's flag travels with the traffic).
 * The optional trailing trace field encodes to **zero bytes** when
-  absent, so a v4 frame and an untraced v5 frame are the same bytes.
-* A query through the RPC coordinator leaves worker spans in the worker
-  processes, fetchable over ``OP_TRACES`` and sharing the coordinator's
-  trace id; likewise cluster nodes; and the ISSUE's acceptance path — a
-  gateway-to-cluster-node query — yields one trace holding the gateway
-  root span, the coordinator stage spans, and the remote node spans.
+  absent, so an untraced frame pays nothing for it.
+* An in-process query records ``plan`` / ``candidates`` / ``score`` /
+  ``merge`` spans under one ``query`` root.  A query through the cluster
+  leaves node spans in the node processes, fetchable over ``OP_TRACES``
+  and sharing the coordinator's trace id; and a gateway-to-cluster-node
+  query yields one trace holding the gateway root span, the coordinator
+  stage spans, and the remote node spans.
 * The slow-query log captures SQL, span tree, and pruning counters for
   queries over the threshold, and ``tools/trace_report.py`` renders the
   exported spans as a tree with self-times.
@@ -44,10 +45,8 @@ from repro.obs import (
 )
 from repro.serving import (
     ClusterQueryEngine,
-    CoordinatorQueryEngine,
     GatewayClient,
     SubjectiveQueryEngine,
-    TRACE_PROTOCOL_VERSION,
     start_gateway,
 )
 from repro.serving.protocol import Reader, pack_trace_field, read_trace_field
@@ -192,7 +191,7 @@ class TestTraceStore:
 
 class TestWireCodec:
     def test_absent_trace_field_is_zero_bytes(self):
-        # An untraced v5 frame is byte-identical to a v4 frame.
+        # An untraced frame carries no trace bytes at all.
         assert pack_trace_field(None) == b""
         assert read_trace_field(Reader(b"")) is None
 
@@ -204,20 +203,15 @@ class TestWireCodec:
         assert read_trace_field(Reader(b"\x00")) is None
 
 
-class TestRpcWorkerTraces:
-    def test_worker_spans_share_the_coordinator_trace_id(self, hotel_database):
+class TestEngineTraces:
+    def test_merge_span_nests_under_score(self, hotel_database):
         store = _fresh_tracing()
-        with CoordinatorQueryEngine(database=hotel_database, num_workers=2) as engine:
-            engine.execute(HOTEL_SQL)
-            local = store.spans()
-            trace_id = next(r.trace_id for r in local if r.name == "query")
-            remote = engine.sharded_store.worker_traces(trace_id=trace_id)
-        worker_names = {row["name"] for row in remote}
-        assert worker_names & {"worker_score", "worker_score_bounded"}
-        assert all(row["trace_id"] == trace_id for row in remote)
-        # Remote spans parent onto coordinator span ids from this process.
-        local_ids = {r.span_id for r in local}
-        assert all(row["parent_id"] in local_ids for row in remote)
+        SubjectiveQueryEngine(database=hotel_database).execute(HOTEL_SQL)
+        records = {record.name: record for record in store.spans()}
+        assert {"query", "plan", "candidates", "score", "merge"} <= set(records)
+        assert records["merge"].parent_id == records["score"].span_id
+        assert records["score"].parent_id == records["query"].span_id
+        assert len({record.trace_id for record in records.values()}) == 1
 
 
 class TestClusterNodeTraces:
@@ -225,11 +219,6 @@ class TestClusterNodeTraces:
         store = _fresh_tracing()
         with ClusterQueryEngine(database=hotel_database, num_nodes=2) as engine:
             cluster_store = engine.sharded_store
-            assert all(
-                channel.negotiated_version >= TRACE_PROTOCOL_VERSION
-                for channel in cluster_store._channels
-                if channel is not None
-            )
             engine.execute(HOTEL_SQL)
             local = store.spans()
             trace_id = next(r.trace_id for r in local if r.name == "query")

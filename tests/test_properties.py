@@ -2,9 +2,11 @@
 
 Covers the algebraic laws of the fuzzy-logic variants, the mass-conservation
 invariants of marker summaries, BM25 non-negativity and self-retrieval, the
-tokenizer's idempotence, NDCG bounds, the SQL builder/parser round trip, and
-the sharded serving engine's partition/merge invariants (every row covered
-exactly once; per-shard top-k merge equal to global-sort top-k under ties).
+tokenizer's idempotence, NDCG bounds, the SQL builder/parser round trip,
+the ranking primitives' partition/merge invariants (every row covered
+exactly once; per-partition top-k merge equal to global-sort top-k under
+ties), and a generated-SQL differential of the serving engine against the
+processor oracle.
 """
 
 from __future__ import annotations
@@ -227,7 +229,7 @@ class TestQueryBuilderRoundTrip:
 
 
 class TestShardPartitioning:
-    """Invariants of the sharded engine's one partitioning rule."""
+    """Invariants of the one partitioning rule (cluster slice placement)."""
 
     @given(st.integers(min_value=0, max_value=300), st.integers(min_value=1, max_value=12))
     def test_partition_covers_every_row_exactly_once(self, num_rows, num_shards):
@@ -410,7 +412,7 @@ class TestTopKThresholdHeap:
 class TestFuzzyArrayConnectives:
     """Array connectives are bit-identical to the scalar folds, element-wise.
 
-    This is the exactness contract the sharded engine's vectorized WHERE
+    This is the exactness contract the engine's vectorized WHERE
     scoring rests on: fold order and validation match the scalar forms, so
     == (not approx) must hold.
     """
@@ -442,8 +444,8 @@ class TestFuzzyArrayConnectives:
 class TestFrameCodecRoundTrip:
     """Frame codec properties: round trips are exact, damage is typed.
 
-    The length-prefixed frame protocol (shared by the socketpair RPC layer
-    and the TCP cluster transport through ``repro.serving.protocol``) must
+    The length-prefixed frame protocol (shared by the TCP cluster
+    transport and the gateway through ``repro.serving.protocol``) must
     deliver arbitrary payload sequences byte-exactly, refuse oversized
     announcements before allocating, and raise a typed ``RpcError`` — never
     hang or resynchronise silently — on any truncation.
@@ -1009,3 +1011,148 @@ class TestPersistentStorageProperties:
                 np.testing.assert_array_equal(
                     getattr(expected, name), getattr(actual, name), err_msg=name
                 )
+
+
+# ---------------------------------------------------------------------------
+# Generated-SQL differential: the engine against the processor oracle
+# ---------------------------------------------------------------------------
+
+#: Marker words of the synthetic store's two attributes (interpretable by
+#: the word2vec method), review-only vocabulary (interpreted by the
+#: co-occurrence or text-retrieval methods), and phrases matching nothing
+#: (the BM25 fallback over raw reviews).
+_KNOWN_PHRASES = [f"word{index:03d}" for index in range(32)]
+_REVIEW_ONLY_PHRASES = ["word040", "word077", "word101 word102"]
+_UNKNOWN_PHRASES = ["zxqv wobbly flurb", "qqq", "nothing like this"]
+
+_phrases = st.one_of(
+    st.sampled_from(_KNOWN_PHRASES),
+    st.sampled_from(_REVIEW_ONLY_PHRASES),
+    st.sampled_from(_UNKNOWN_PHRASES),
+    st.lists(st.sampled_from(_KNOWN_PHRASES), min_size=2, max_size=3).map(" ".join),
+)
+_cities = st.sampled_from(["london", "paris", "rome", "oslo"])
+_prices = st.integers(min_value=40, max_value=260)
+
+
+def _objective_filters():
+    return st.one_of(
+        _cities.map(lambda city: f"city = '{city}'"),
+        _cities.map(lambda city: f"city <> '{city}'"),
+        st.tuples(st.sampled_from(["<", "<=", ">", ">="]), _prices).map(
+            lambda pair: f"price {pair[0]} {pair[1]}"
+        ),
+        st.tuples(_prices, _prices).map(
+            lambda pair: f"price between {min(pair)} and {max(pair)}"
+        ),
+        st.lists(_cities, min_size=1, max_size=3).map(
+            lambda cities: "city in (" + ", ".join(f"'{city}'" for city in cities) + ")"
+        ),
+    )
+
+
+def _where_trees():
+    """Nested AND/OR/NOT over subjective predicates and objective filters.
+
+    Phrases are drawn from a small pool, so repeated predicates inside one
+    tree are common.
+    """
+    leaves = st.one_of(
+        _phrases.map(lambda phrase: f'"{phrase}"'),
+        _phrases.map(lambda phrase: f'"{phrase}"'),
+        _objective_filters(),
+    )
+    return st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.lists(children, min_size=2, max_size=3).map(
+                lambda parts: "(" + " and ".join(parts) + ")"
+            ),
+            st.lists(children, min_size=2, max_size=3).map(
+                lambda parts: "(" + " or ".join(parts) + ")"
+            ),
+            children.map(lambda part: f"not {part}"),
+        ),
+        max_leaves=6,
+    )
+
+
+_limits = st.one_of(
+    st.none(),
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=13, max_value=400),
+    st.just(2**63 - 1),
+    # Above the largest supported LIMIT: the typed parse error path.
+    st.integers(min_value=2**63, max_value=10**30),
+)
+
+
+@st.composite
+def subjective_sql(draw) -> str:
+    """One well-formed subjective SQL query over the synthetic schema."""
+    sql = "select * from Entities"
+    if draw(st.integers(min_value=0, max_value=9)):
+        sql += " where " + draw(_where_trees())
+    limit = draw(_limits)
+    if limit is not None:
+        sql += f" limit {limit}"
+    return sql
+
+
+@pytest.fixture(scope="module")
+def generated_sql_setup():
+    from repro.core import SubjectiveQueryProcessor
+    from repro.serving import SubjectiveQueryEngine
+    from repro.testing import build_synthetic_columnar_database
+
+    database = build_synthetic_columnar_database(num_entities=320, seed=5)
+    return (
+        SubjectiveQueryProcessor(database),
+        {
+            "pruned": SubjectiveQueryEngine(database=database),
+            "exact": SubjectiveQueryEngine(database=database, prune_topk=False),
+        },
+    )
+
+
+class TestGeneratedSqlDifferential:
+    def test_engine_matches_processor_oracle(self, generated_sql_setup):
+        from hypothesis import HealthCheck
+
+        from repro.errors import ParseError
+
+        oracle, engines = generated_sql_setup
+        outcomes = {"parse_error": 0, "executed": 0}
+
+        @given(subjective_sql())
+        @settings(
+            max_examples=120,
+            deadline=None,
+            suppress_health_check=[HealthCheck.too_slow],
+        )
+        def check(sql):
+            try:
+                expected = oracle.execute(sql)
+            except ParseError:
+                outcomes["parse_error"] += 1
+                for engine in engines.values():
+                    with pytest.raises(ParseError):
+                        engine.execute(sql)
+                return
+            outcomes["executed"] += 1
+            for name, engine in engines.items():
+                actual = engine.execute(sql)
+                context = f"{name}: {sql}"
+                assert actual.entity_ids == expected.entity_ids, context
+                for exp, act in zip(expected.entities, actual.entities):
+                    assert act.score == exp.score, context
+                    assert act.predicate_degrees == exp.predicate_degrees, context
+
+        check()
+        total = outcomes["parse_error"] + outcomes["executed"]
+        share = outcomes["parse_error"] / total
+        print(f"\ngenerated SQL: {total} inputs, ParseError share {share:.3f}")
+        # The grammar is well formed: only the out-of-range LIMIT branch
+        # may fail to parse, so nearly every input reaches the executor.
+        assert share < 0.25, outcomes
+        assert engines["pruned"].entities_pruned > 0

@@ -1,14 +1,15 @@
 """Differential tests for bound-based top-k pruning.
 
 The contract of the pruned ranking path is *exact* equality with the
-unpruned engines: same ranked entity ids, bit-identical scores and
-per-predicate degrees, at every serving layer (sharded serial/thread, RPC
-coordinator, TCP cluster) and for shard counts {1, 2, 4} — while doing
-strictly less exact-kernel work on selective top-k queries.  These tests
-pin both halves of that contract: equality through the layer stack, and
-``entities_scored`` strictly below the candidate count on a cold
-selective query, with the skipped rows accounted as ``entities_pruned``.
-The fallback edges (no LIMIT, text-retrieval predicates) must leave the
+unpruned engine and the :class:`~repro.core.SubjectiveQueryProcessor`
+oracle: same ranked entity ids, bit-identical scores and per-predicate
+degrees, in process and over the TCP cluster for node counts {1, 2, 4} —
+while doing strictly less exact-kernel work on selective top-k queries.
+These tests pin both halves of that contract: equality through the layer
+stack, and ``entities_scored`` strictly below the candidate count on a
+cold selective query, with the skipped rows accounted as
+``entities_pruned``.  The fallback edges (no LIMIT, text-retrieval
+predicates, candidate sets no larger than one scan chunk) must leave the
 pruned path disengaged and the results untouched.
 """
 
@@ -17,15 +18,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import SubjectiveQueryProcessor
 from repro.core.columnar import ColumnarSummaryStore
 from repro.core.database import ReviewRecord
 from repro.core.interpreter import InterpretationMethod
-from repro.serving import (
-    ClusterQueryEngine,
-    CoordinatorQueryEngine,
-    ShardedSubjectiveQueryEngine,
-    SubjectiveQueryEngine,
-)
+from repro.serving import ClusterQueryEngine, SubjectiveQueryEngine
 from repro.testing import build_synthetic_columnar_database
 
 SHARD_COUNTS = [1, 2, 4]
@@ -69,7 +66,7 @@ def _assert_identical_results(expected, actual, context: str = "") -> None:
 
 
 def _assert_matches_baseline(database, engine, sqls, context=""):
-    baseline = SubjectiveQueryEngine(database=database)
+    baseline = SubjectiveQueryProcessor(database)
     for sql in sqls:
         expected = baseline.execute(sql)
         actual = engine.execute(sql)
@@ -81,35 +78,22 @@ def _assert_matches_baseline(database, engine, sqls, context=""):
 ALL_QUERIES = SELECTIVE_QUERIES + MIXED_QUERIES + FALLBACK_QUERIES
 
 
-class TestShardedPruning:
-    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-    def test_serial_identical(self, synthetic_database, num_shards):
-        engine = ShardedSubjectiveQueryEngine(
-            database=synthetic_database, num_shards=num_shards
-        )
+class TestEnginePruning:
+    @pytest.mark.parametrize("chunk_size", [16, 64, 128])
+    def test_identical_across_chunk_sizes(self, synthetic_database, chunk_size):
+        """Chunk boundaries move the threshold's arrival, never the result."""
+        engine = SubjectiveQueryEngine(database=synthetic_database)
         assert engine.prune_topk
+        engine.prune_chunk_size = chunk_size
         _assert_matches_baseline(
-            synthetic_database, engine, ALL_QUERIES, context=f"shards={num_shards}"
+            synthetic_database, engine, ALL_QUERIES, context=f"chunk={chunk_size}"
         )
-
-    @pytest.mark.parametrize("num_shards", [2, 4])
-    def test_thread_backend_identical(self, synthetic_database, num_shards):
-        engine = ShardedSubjectiveQueryEngine(
-            database=synthetic_database, num_shards=num_shards, backend="thread"
-        )
-        try:
-            _assert_matches_baseline(
-                synthetic_database, engine, SELECTIVE_QUERIES, context="thread"
-            )
-        finally:
-            engine.close()
+        assert engine.entities_pruned > 0
 
     def test_pruned_equals_unpruned_engine(self, synthetic_database):
-        """prune_topk=False runs the legacy full path; results must agree."""
-        pruned = ShardedSubjectiveQueryEngine(database=synthetic_database, num_shards=2)
-        full = ShardedSubjectiveQueryEngine(
-            database=synthetic_database, num_shards=2, prune_topk=False
-        )
+        """prune_topk=False runs the exact vectorized path; results must agree."""
+        pruned = SubjectiveQueryEngine(database=synthetic_database)
+        full = SubjectiveQueryEngine(database=synthetic_database, prune_topk=False)
         for sql in ALL_QUERIES:
             _assert_identical_results(full.execute(sql), pruned.execute(sql), context=sql)
         assert full.entities_pruned == 0
@@ -118,10 +102,8 @@ class TestShardedPruning:
     def test_entities_scored_strictly_lower(self, synthetic_database):
         """A cold selective top-k scores strictly fewer rows than it covers."""
         num_entities = len(synthetic_database.entities())
-        pruned = ShardedSubjectiveQueryEngine(database=synthetic_database, num_shards=2)
-        full = ShardedSubjectiveQueryEngine(
-            database=synthetic_database, num_shards=2, prune_topk=False
-        )
+        pruned = SubjectiveQueryEngine(database=synthetic_database)
+        full = SubjectiveQueryEngine(database=synthetic_database, prune_topk=False)
         sql = SELECTIVE_QUERIES[0]
         pruned.execute(sql)
         full.execute(sql)
@@ -134,9 +116,16 @@ class TestShardedPruning:
         assert stats["entities_scored"] == pruned.entities_scored
         assert stats["entities_pruned"] == pruned.entities_pruned
 
+    def test_small_candidate_sets_skip_the_pruned_scan(self, synthetic_database):
+        """At or below one scan chunk no threshold can form: exact path only."""
+        engine = SubjectiveQueryEngine(database=synthetic_database)
+        engine.prune_chunk_size = len(synthetic_database.entities())
+        _assert_matches_baseline(synthetic_database, engine, SELECTIVE_QUERIES[:2])
+        assert engine.entities_pruned == 0
+
     def test_retrieval_fallback_does_not_prune(self, hotel_database):
         """A BM25 text-retrieval interpretation refuses the pruned path."""
-        engine = ShardedSubjectiveQueryEngine(database=hotel_database, num_shards=2)
+        engine = SubjectiveQueryEngine(database=hotel_database)
         sql = FALLBACK_QUERIES[1]
         engine.execute(sql)
         plan = engine.plan(sql)
@@ -147,46 +136,27 @@ class TestShardedPruning:
         assert engine.entities_pruned == 0
 
     def test_run_batch_stats_surface_pruning(self, synthetic_database):
-        engine = ShardedSubjectiveQueryEngine(database=synthetic_database, num_shards=2)
+        engine = SubjectiveQueryEngine(database=synthetic_database)
         batch = engine.run_batch(SELECTIVE_QUERIES[:2])
         assert batch.cache_stats["entities_pruned"] > 0
         assert batch.cache_stats["entities_scored"] > 0
 
-    def test_ingest_resets_pruning_soundly(self, synthetic_database):
+    def test_ingest_resets_pruning_soundly(self):
         """A data_version bump must not leave stale bounds behind."""
-        database = build_synthetic_columnar_database(num_entities=120, seed=23)
-        engine = ShardedSubjectiveQueryEngine(database=database, num_shards=2)
-        baseline = SubjectiveQueryEngine(database=database)
+        database = build_synthetic_columnar_database(num_entities=200, seed=23)
+        engine = SubjectiveQueryEngine(database=database)
         sql = SELECTIVE_QUERIES[0]
-        _assert_identical_results(baseline.execute(sql), engine.execute(sql))
+        _assert_identical_results(
+            SubjectiveQueryProcessor(database).execute(sql), engine.execute(sql)
+        )
+        assert engine.entities_pruned > 0
         entity = database.entities()[0]
         database.add_review(ReviewRecord(10_000, entity.entity_id, "word003 word019 again"))
         _assert_identical_results(
-            baseline.execute(sql), engine.execute(sql), context="post-ingest"
+            SubjectiveQueryProcessor(database).execute(sql),
+            engine.execute(sql),
+            context="post-ingest",
         )
-
-
-class TestRpcPruning:
-    @pytest.mark.parametrize("num_workers", SHARD_COUNTS)
-    def test_coordinator_identical(self, synthetic_database, num_workers):
-        with CoordinatorQueryEngine(
-            database=synthetic_database, num_workers=num_workers
-        ) as engine:
-            _assert_matches_baseline(
-                synthetic_database,
-                engine,
-                SELECTIVE_QUERIES + MIXED_QUERIES,
-                context=f"workers={num_workers}",
-            )
-
-    def test_coordinator_counts_pruning(self, synthetic_database):
-        num_entities = len(synthetic_database.entities())
-        with CoordinatorQueryEngine(database=synthetic_database, num_workers=2) as engine:
-            engine.execute(SELECTIVE_QUERIES[0])
-            assert 0 < engine.entities_scored < 2 * num_entities
-            assert engine.entities_pruned > 0
-            workers = engine.sharded_store.partition_stats()
-            assert sum(entry["entities_pruned"] for entry in workers) > 0
 
 
 class TestClusterPruning:
@@ -215,7 +185,7 @@ class TestClusterPruning:
 
     def test_concurrent_batch_still_identical(self, synthetic_database):
         """Pruning is disabled inside the concurrent batch, not broken by it."""
-        baseline = SubjectiveQueryEngine(database=synthetic_database)
+        baseline = SubjectiveQueryProcessor(synthetic_database)
         with ClusterQueryEngine(
             database=synthetic_database, num_nodes=2, max_inflight_queries=8
         ) as engine:

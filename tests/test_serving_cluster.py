@@ -1,7 +1,7 @@
 """Cluster transport: TCP differential equivalence and failure-mode tests.
 
 The contract of :mod:`repro.serving.cluster` is the stack-wide one: *exact*
-equality with the unsharded :class:`repro.serving.SubjectiveQueryEngine` —
+equality with the :class:`repro.core.SubjectiveQueryProcessor` oracle —
 same ranked entity ids, bit-identical scores and per-predicate degrees —
 over real localhost TCP for every node count, with snapshot hydration
 replacing fork as the column-data path.  On top of that the suite pins the
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import socket
 import struct
+import sys
 
 import pytest
 
@@ -24,12 +25,12 @@ from repro.core import SubjectiveQueryProcessor
 from repro.core.columnar import ColumnSnapshot, ColumnarSummaryStore
 from repro.core.interpreter import InterpretationMethod
 from repro.core.markers import MarkerSummary
+from repro.errors import ParseError
 from repro.serving import (
     ClusterQueryEngine,
     ClusterShardStore,
     HandshakeError,
     ShardNodeServer,
-    SubjectiveQueryEngine,
     WorkerCrashedError,
     start_local_node,
 )
@@ -38,6 +39,7 @@ from repro.serving.protocol import (
     STATUS_OK,
     Reader,
     encode_hello,
+    encode_hello_ack,
     encode_hydrate_request,
     encode_invalidate_request,
     encode_score_request,
@@ -81,7 +83,7 @@ def _assert_identical_results(expected, actual, context: str = "") -> None:
 
 
 def _assert_engines_agree(database, sqls, num_nodes, **engine_kwargs):
-    baseline = SubjectiveQueryEngine(database=database)
+    baseline = SubjectiveQueryProcessor(database)
     with ClusterQueryEngine(
         database=database, num_nodes=num_nodes, **FAST, **engine_kwargs
     ) as cluster:
@@ -137,6 +139,17 @@ class TestHandshake:
             send_frame(sock, encode_score_request(0, "x", "y", 0, 1, None), 1 << 20)
             with pytest.raises(HandshakeError):
                 read_hello_ack(recv_frame(sock, 1 << 20))
+
+    def test_retired_v4_hello_is_typed_error(self, hotel_node):
+        """Only PROTOCOL_VERSION is spoken: a v4 peer fails on either side."""
+        assert PROTOCOL_VERSION == 5
+        with socket.create_connection(hotel_node.address, timeout=5) as sock:
+            send_frame(sock, encode_hello(4, 0), 1 << 20)
+            with pytest.raises(HandshakeError) as excinfo:
+                read_hello_ack(recv_frame(sock, 1 << 20))
+            assert "version mismatch" in str(excinfo.value)
+        with pytest.raises(HandshakeError):
+            read_hello_ack(encode_hello_ack(4, 0, []))
 
     def test_malformed_hello_ack_is_typed_error(self):
         with pytest.raises(HandshakeError):
@@ -261,6 +274,51 @@ class TestNodeDispatch:
         assert node._stale_version == version
         assert set(node._stale) == {(attribute, 0)}
 
+    def _hydrated_node(self, database, start, stop):
+        """A node holding slice 0 = rows ``[start, stop)`` of the first attribute."""
+        node = self._node(database)
+        attribute = self._attribute(database)
+        columns = ColumnarSummaryStore(database).columns(attribute)
+        snapshot = ColumnSnapshot.of_slice(columns, 0, start, stop, database.data_version)
+        node.handle_frame(encode_hydrate_request(snapshot.pack()))
+        return node, attribute
+
+    def test_empty_slice_scores_empty_vector(self, hotel_database):
+        node, attribute = self._hydrated_node(hotel_database, 4, 4)
+        response, _ = node.handle_frame(
+            encode_score_request(0, attribute, "clean", 4, 4, None)
+        )
+        reader = Reader(response)
+        assert reader.read_u8() == STATUS_OK
+        assert reader.read_u32() == 0
+
+    def test_unknown_attribute_is_transported_error(self, hotel_database):
+        node, _attribute = self._hydrated_node(hotel_database, 0, 4)
+        response, stop = node.handle_frame(
+            encode_score_request(0, "no_such_attribute", "x", 0, 4, None)
+        )
+        assert not stop
+        reader = Reader(response)
+        assert reader.read_u8() != STATUS_OK
+        assert "no_such_attribute" in reader.read_str()
+
+    def test_out_of_range_slice_is_transported_error(self, hotel_database):
+        node, attribute = self._hydrated_node(hotel_database, 0, 4)
+        for slice_id, stop in ((0, 10_000), (9, 4)):
+            response, stop_serving = node.handle_frame(
+                encode_score_request(slice_id, attribute, "x", 0, stop, None)
+            )
+            assert not stop_serving
+            assert Reader(response).read_u8() != STATUS_OK
+
+    def test_unknown_opcode_is_transported_error(self, hotel_database):
+        node = self._node(hotel_database)
+        response, stop = node.handle_frame(bytes([250]))
+        assert not stop
+        reader = Reader(response)
+        assert reader.read_u8() != STATUS_OK
+        assert "unknown opcode" in reader.read_str()
+
     def test_cross_version_hydration_drops_older_slices(self, hotel_database):
         node = self._node(hotel_database)
         attribute = self._attribute(hotel_database)
@@ -309,7 +367,7 @@ class TestDifferentialEquivalence:
             start_local_node(processor.membership, node_id=index)[0] for index in range(2)
         ]
         try:
-            baseline = SubjectiveQueryEngine(database=hotel_database)
+            baseline = SubjectiveQueryProcessor(hotel_database)
             with ClusterQueryEngine(
                 database=hotel_database,
                 processor=processor,
@@ -341,7 +399,7 @@ class TestDifferentialEquivalence:
 
     def test_top_k_edge_cases(self, hotel_database):
         sql = 'select * from Entities where "clean room" and "friendly staff"'
-        baseline = SubjectiveQueryEngine(database=hotel_database)
+        baseline = SubjectiveQueryProcessor(hotel_database)
         with ClusterQueryEngine(database=hotel_database, num_nodes=3, **FAST) as engine:
             for top_k in (0, 1, 1000):
                 _assert_identical_results(
@@ -350,19 +408,34 @@ class TestDifferentialEquivalence:
                     context=f"top_k={top_k}",
                 )
 
+    def test_limit_edge_cases(self, hotel_database):
+        """LIMIT 0 is zero rows, a huge LIMIT is every row, a bad one is typed."""
+        num_entities = len(hotel_database.entity_ids())
+        baseline = SubjectiveQueryProcessor(hotel_database)
+        where = 'select * from Entities where "clean room"'
+        with ClusterQueryEngine(database=hotel_database, num_nodes=2, **FAST) as engine:
+            assert engine.execute(f"{where} limit 0").entities == []
+            huge = f"{where} limit {sys.maxsize}"
+            result = engine.execute(huge)
+            assert len(result.entities) == num_entities
+            _assert_identical_results(baseline.execute(huge), result, context=huge)
+            for bad in ("limit 2.7", "limit 99999999999999999999999"):
+                with pytest.raises(ParseError):
+                    engine.execute(f"{where} {bad}")
+
 
 class TestConcurrentBatch:
     def test_concurrent_run_batch_bit_identical_to_serial(self, hotel_database):
         """Overlapped fan-outs must not change a single bit of any result."""
         batch = HOTEL_QUERIES * 2
-        baseline = SubjectiveQueryEngine(database=hotel_database)
+        baseline = SubjectiveQueryProcessor(hotel_database)
         with ClusterQueryEngine(
             database=hotel_database, num_nodes=2, max_inflight_queries=8, **FAST
         ) as concurrent:
-            expected = baseline.run_batch(batch)
+            expected = [baseline.execute(sql) for sql in batch]
             actual = concurrent.run_batch(batch)
             assert len(actual) == len(expected)
-            for exp, act in zip(expected.results, actual.results):
+            for exp, act in zip(expected, actual.results):
                 _assert_identical_results(exp, act)
 
     def test_concurrent_cache_stats_match_serial_accounting(self, hotel_database):
@@ -526,7 +599,7 @@ class TestNodeLoss:
 
 class TestInvalidation:
     def test_version_bump_rehydrates_without_respawn(self):
-        from test_serving_sharded import build_mutable_database
+        from test_serving_engine import build_mutable_database
 
         database = build_mutable_database(num_entities=6)
         with ClusterQueryEngine(database=database, num_nodes=2, **FAST) as engine:
@@ -554,12 +627,12 @@ class TestInvalidation:
             assert store.data_version == database.data_version
             for stats in store.node_stats():
                 assert stats["data_version"] == database.data_version
-            fresh = SubjectiveQueryEngine(database=database).execute(sql)
+            fresh = SubjectiveQueryProcessor(database).execute(sql)
             _assert_identical_results(fresh, result)
 
     def test_mid_batch_ingest_rehydrates_and_serves_fresh(self):
         """A ``data_version`` bump racing an in-flight batch leaves no stale degree."""
-        from test_serving_sharded import MARKERS, _IngestingBatch, build_mutable_database
+        from test_serving_engine import MARKERS, _IngestingBatch, build_mutable_database
 
         database = build_mutable_database()
         with ClusterQueryEngine(
@@ -584,7 +657,7 @@ class TestInvalidation:
             assert store.data_version == database.data_version
             assert store.invalidations >= 1
 
-            fresh = SubjectiveQueryEngine(database=database).execute(sql)
+            fresh = SubjectiveQueryProcessor(database).execute(sql)
             _assert_identical_results(fresh, batch.results[1])
             stale_degrees = [entity.predicate_degrees for entity in stale.entities]
             fresh_degrees = [entity.predicate_degrees for entity in fresh.entities]

@@ -29,12 +29,8 @@ import pytest
 from repro.core.database import SubjectiveDatabase
 from repro.core.markers import MarkerSummary
 from repro.errors import CatalogError, StorageError
-from repro.serving import (
-    ClusterQueryEngine,
-    CoordinatorQueryEngine,
-    ShardedSubjectiveQueryEngine,
-    SubjectiveQueryEngine,
-)
+from repro.core import SubjectiveQueryProcessor
+from repro.serving import ClusterQueryEngine, SubjectiveQueryEngine
 from repro.storage import (
     PersistentColumnarStore,
     StoreReader,
@@ -132,22 +128,22 @@ class TestDiskBootBitIdentity:
 
     def test_serial_engine_equivalence(self, small_database, storage_dir):
         booted = saved_copy(small_database, storage_dir)
-        baseline = SubjectiveQueryEngine(database=small_database)
+        baseline = SubjectiveQueryProcessor(small_database)
         engine = SubjectiveQueryEngine(database=booted)
         for sql in QUERIES:
             assert_same_result(baseline.execute(sql), engine.execute(sql), context=sql)
 
-    def test_sharded_engine_equivalence(self, small_database, storage_dir):
+    def test_unpruned_engine_equivalence(self, small_database, storage_dir):
         booted = saved_copy(small_database, storage_dir)
-        baseline = SubjectiveQueryEngine(database=small_database)
-        engine = ShardedSubjectiveQueryEngine(database=booted, num_shards=3)
+        baseline = SubjectiveQueryProcessor(small_database)
+        engine = SubjectiveQueryEngine(database=booted, prune_topk=False)
         for sql in QUERIES:
             assert_same_result(baseline.execute(sql), engine.execute(sql), context=sql)
 
-    def test_rpc_engine_equivalence(self, small_database, storage_dir):
+    def test_cluster_engine_more_slices_equivalence(self, small_database, storage_dir):
         booted = saved_copy(small_database, storage_dir)
-        baseline = SubjectiveQueryEngine(database=small_database)
-        with CoordinatorQueryEngine(database=booted, num_workers=2) as engine:
+        baseline = SubjectiveQueryProcessor(small_database)
+        with ClusterQueryEngine(database=booted, num_nodes=2, num_shards=5) as engine:
             for sql in QUERIES:
                 assert_same_result(baseline.execute(sql), engine.execute(sql), context=sql)
 
