@@ -244,10 +244,13 @@ RESTAURANT_QUERIES = [
 
 #: Ranking paths of the one engine: the default (the fixtures fit in one
 #: scan chunk, so this is exact vectorized ranking), a tiny scan chunk
-#: that forces the pruned scan even on the small fixtures, and pruning off.
+#: that forces the pruned scan even on the small fixtures, a chunk of 7
+#: that divides none of the fixture sizes (so the last chunk is ragged),
+#: and pruning off.
 ENGINE_CONFIGS = {
     "default": {},
     "pruned-small-chunk": {"prune_chunk_size": 2},
+    "pruned-ragged-chunk": {"prune_chunk_size": 7},
     "exact": {"prune_topk": False},
 }
 
